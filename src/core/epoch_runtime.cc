@@ -33,41 +33,23 @@ void EpochRuntime::WorkerEpoch(std::size_t w) {
   const std::size_t allocs_before = obs::ThreadAllocationCount();
   {
     MFG_OBS_SPAN_ID("EpochRuntime.Worker", static_cast<std::int64_t>(w));
-    if (job_block_fn_ != nullptr) {
-      // Block mode: claim whole blocks; composition depends only on
-      // (count, block_size), never on the claiming order.
-      const std::size_t block = job_block_size_;
-      const std::size_t num_blocks =
-          job_count_ == 0 ? 0 : (job_count_ + block - 1) / block;
-      if (job_round_robin_) {
-        for (std::size_t b = w; b < num_blocks; b += contexts_.size()) {
-          const std::size_t begin = b * block;
-          const std::size_t end = std::min(job_count_, begin + block);
-          job_block_fn_(job_ctx_, w, begin, end);
-          ctx.contents_solved += end - begin;
-        }
-      } else {
-        for (std::size_t b = next_.fetch_add(1, std::memory_order_relaxed);
-             b < num_blocks;
-             b = next_.fetch_add(1, std::memory_order_relaxed)) {
-          const std::size_t begin = b * block;
-          const std::size_t end = std::min(job_count_, begin + block);
-          job_block_fn_(job_ctx_, w, begin, end);
-          ctx.contents_solved += end - begin;
-        }
-      }
-    } else if (job_round_robin_) {
-      for (std::size_t slot = w; slot < job_count_;
-           slot += contexts_.size()) {
-        job_fn_(job_ctx_, w, slot);
-        ++ctx.contents_solved;
+    const std::size_t block = job_block_size_;
+    const std::size_t num_blocks = (job_count_ + block - 1) / block;
+    const auto run_block = [&](std::size_t b) {
+      const std::size_t begin = b * block;
+      const std::size_t end = std::min(job_count_, begin + block);
+      job_fn_(job_ctx_, w, begin, end);
+      ctx.contents_solved += end - begin;
+    };
+    if (job_round_robin_) {
+      for (std::size_t b = w; b < num_blocks; b += contexts_.size()) {
+        run_block(b);
       }
     } else {
-      for (std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-           slot < job_count_;
-           slot = next_.fetch_add(1, std::memory_order_relaxed)) {
-        job_fn_(job_ctx_, w, slot);
-        ++ctx.contents_solved;
+      for (std::size_t b = next_.fetch_add(1, std::memory_order_relaxed);
+           b < num_blocks;
+           b = next_.fetch_add(1, std::memory_order_relaxed)) {
+        run_block(b);
       }
     }
   }
@@ -93,40 +75,27 @@ void EpochRuntime::WorkerLoop(std::size_t w) {
   }
 }
 
-void EpochRuntime::RunEpoch(std::size_t count, SolveFn fn, void* ctx) {
-  Launch(count, fn, nullptr, 0, ctx);
-}
-
-void EpochRuntime::RunEpochBlocks(std::size_t count, std::size_t block_size,
-                                  BlockFn fn, void* ctx) {
-  Launch(count, nullptr, fn, block_size > 0 ? block_size : 1, ctx);
-}
-
-void EpochRuntime::Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
-                          std::size_t block_size, void* ctx) {
-  bool round_robin = false;
-  for (const WorkerContext& worker : contexts_) {
-    if (!worker.warmed) round_robin = true;
-  }
-
-  if (threads_.empty()) {
-    job_count_ = count;
-    job_fn_ = fn;
-    job_block_fn_ = block_fn;
-    job_block_size_ = block_size;
-    job_ctx_ = ctx;
-    // One worker: the round-robin partition *is* the serial order; skip
-    // the stealing atomics entirely.
-    job_round_robin_ = true;
+void EpochRuntime::RunEpoch(std::size_t count, std::size_t block_size,
+                            BlockFn fn, void* ctx) {
+  const bool serial = threads_.empty();
+  // Job fields are staged under mutex_ whenever pool threads will read
+  // them; the inline serial path has no readers to order against.
+  std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+  if (!serial) lock.lock();
+  job_count_ = count;
+  job_fn_ = fn;
+  job_block_size_ = block_size > 0 ? block_size : 1;
+  job_ctx_ = ctx;
+  // One worker: the round-robin partition *is* the serial order; skip
+  // the stealing atomics entirely.
+  job_round_robin_ =
+      serial || std::any_of(contexts_.begin(), contexts_.end(),
+                            [](const WorkerContext& worker) {
+                              return !worker.warmed;
+                            });
+  if (serial) {
     WorkerEpoch(0);
   } else {
-    std::unique_lock<std::mutex> lock(mutex_);
-    job_count_ = count;
-    job_fn_ = fn;
-    job_block_fn_ = block_fn;
-    job_block_size_ = block_size;
-    job_ctx_ = ctx;
-    job_round_robin_ = round_robin;
     next_.store(0, std::memory_order_relaxed);
     workers_done_ = 0;
     ++generation_;

@@ -18,57 +18,50 @@
 // fresh solver state every epoch (the old std::async fan-out) costs both
 // thread churn and a full re-warm of every buffer. The runtime instead
 // keeps `parallelism` threads alive for the lifetime of its owner
-// (MfgCpFramework) and gives each worker a long-lived
-// BestResponseLearner + Workspace + per-slot Equilibrium storage, so a
-// warmed pool runs whole epochs with zero steady-state heap allocations.
+// (MfgCpFramework) and gives each worker long-lived learners, workspaces
+// and lane-job storage, so a warmed pool runs whole epochs with zero
+// steady-state heap allocations.
 //
-// Determinism contract: a slot's result depends only on that slot's
-// inputs — the learner is fully re-parameterized per slot via Rebind(),
-// every workspace buffer is overwritten before it is read, and each slot
-// writes only its own output storage. Results are therefore bit-identical
-// across worker counts and across schedules (guarded by
-// solver_equivalence_test / obs_equivalence_test and the mfg_cp golden
-// tests).
-//
-// Scheduling: slots are distributed by an atomic work-stealing index.
+// Scheduling: an epoch of `count` slots is cut into fixed contiguous
+// blocks of `block_size` (block b covers [b·B, min(count, (b+1)·B))), and
+// workers claim whole blocks through an atomic work-stealing index.
 // Exception: while any worker has never solved a slot, the epoch falls
-// back to a static round-robin partition (slot i -> worker i mod W) so
+// back to a static round-robin partition (block b -> worker b mod W) so
 // every worker warms its workspaces in the first epoch instead of
 // whenever stealing happens to feed it — after that, `allocs == 0` holds
-// per worker no matter which worker steals which slot.
+// per worker no matter which worker steals which block. A single-worker
+// runtime runs the blocks in order, inline on the calling thread.
 //
-// Block mode (RunEpochBlocks): slots are grouped into fixed contiguous
-// blocks of `block_size` (block b covers [b·B, min(count, (b+1)·B)));
-// workers claim whole blocks through the same stealing/round-robin
-// machinery. The block composition depends only on (count, block_size) —
-// never on the claiming order — and a block writes only its own slots,
-// so the determinism contract above extends verbatim to the batched
-// epoch path (guarded by epoch_degradation_test at several
+// Determinism contract: the block composition depends only on
+// (count, block_size) — never on the claiming order — a block writes only
+// its own slots, and the block body fully re-parameterizes the worker's
+// learner for every slot it solves (every workspace buffer is overwritten
+// before it is read). Results are therefore bit-identical across worker
+// counts, block sizes and schedules (guarded by solver_equivalence_test,
+// batch_equivalence_test and epoch_degradation_test at several
 // parallelism × batch_width combinations).
 
 namespace mfg::core {
 
 class EpochRuntime {
  public:
-  // Per-slot job body: solve slot `slot` using worker `worker`'s state.
-  // A raw function pointer + context (not std::function) so publishing a
+  // Block body: solve slots [begin, end) on worker `worker`'s state. A
+  // raw function pointer + context (not std::function) so publishing a
   // job never allocates.
-  using SolveFn = void (*)(void* ctx, std::size_t worker, std::size_t slot);
-
-  // Per-block job body: solve slots [begin, end) as one batch on worker
-  // `worker`'s state (RunEpochBlocks).
   using BlockFn = void (*)(void* ctx, std::size_t worker, std::size_t begin,
                            std::size_t end);
 
-  // Long-lived solver state owned by one worker. `learner` is created on
-  // the worker's first slot and re-parameterized with Rebind() afterwards;
-  // the telemetry fields are rewritten every epoch.
+  // Long-lived solver state owned by one worker; the telemetry fields are
+  // rewritten every epoch.
   struct WorkerContext {
+    // Scalar learner for one slot at a time: the batch_width == 1 block
+    // body and the recovery ladder's relaxed retries at every width.
+    // Created on the worker's first scalar solve and re-parameterized
+    // with Rebind() afterwards.
     std::optional<BestResponseLearner> learner;
     BestResponseLearner::Workspace workspace;
-    // Batched counterparts used by the block-claiming epoch path
-    // (batch_width > 1); re-bound per block, buffers reused across
-    // epochs like the scalar pair above.
+    // SoA learner for the batch_width > 1 block body; lanes are re-bound
+    // per block, buffers reused across epochs like the scalar pair above.
     BatchBestResponseLearner batch_learner;
     BatchBestResponseLearner::Workspace batch_workspace;
     std::vector<BatchBestResponseLearner::LaneJob> batch_jobs;
@@ -91,17 +84,14 @@ class EpochRuntime {
   EpochRuntime(const EpochRuntime&) = delete;
   EpochRuntime& operator=(const EpochRuntime&) = delete;
 
-  // Runs fn(ctx, worker, slot) for every slot in [0, count), blocking
-  // until the epoch completes. Not reentrant: the caller (MfgCpFramework)
-  // serializes epochs on this runtime.
-  void RunEpoch(std::size_t count, SolveFn fn, void* ctx);
-
-  // Block-claiming variant: runs fn(ctx, worker, b·B, min(count, (b+1)·B))
-  // for every block b of `block_size = B` slots. A worker's
-  // contents_solved counts slots (not blocks), so pool telemetry stays
-  // comparable across modes. block_size == 0 is treated as 1.
-  void RunEpochBlocks(std::size_t count, std::size_t block_size, BlockFn fn,
-                      void* ctx);
+  // Runs fn(ctx, worker, b·B, min(count, (b+1)·B)) for every block b of
+  // `block_size = B` slots in [0, count), blocking until the epoch
+  // completes. A worker's contents_solved counts slots (not blocks), so
+  // pool telemetry is comparable across block sizes. block_size == 0 is
+  // treated as 1. Not reentrant: the caller (MfgCpFramework) serializes
+  // epochs on this runtime.
+  void RunEpoch(std::size_t count, std::size_t block_size, BlockFn fn,
+                void* ctx);
 
   std::size_t num_workers() const { return contexts_.size(); }
   WorkerContext& worker(std::size_t w) { return contexts_[w]; }
@@ -118,9 +108,6 @@ class EpochRuntime {
   void WorkerLoop(std::size_t w);
   // Runs worker w's share of the current job and records its telemetry.
   void WorkerEpoch(std::size_t w);
-  // Publishes the staged job (slot or block mode) and blocks until done.
-  void Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
-              std::size_t block_size, void* ctx);
 
   std::vector<WorkerContext> contexts_;
   std::vector<std::thread> threads_;
@@ -135,8 +122,7 @@ class EpochRuntime {
   std::size_t workers_done_ = 0;
   bool shutdown_ = false;
   std::size_t job_count_ = 0;
-  SolveFn job_fn_ = nullptr;
-  BlockFn job_block_fn_ = nullptr;
+  BlockFn job_fn_ = nullptr;
   std::size_t job_block_size_ = 0;
   void* job_ctx_ = nullptr;
   bool job_round_robin_ = false;

@@ -67,17 +67,22 @@ void RelaxLearning(const EpochRecoveryOptions& recovery, std::size_t attempt,
   learning.max_iterations += recovery.extra_iterations * attempt;
 }
 
-// One solve attempt for `result`'s content on worker state `wc`.
-// Attempt 0 is the nominal solve; attempts >= 1 apply the relaxation
-// schedule. The fault scope makes the attempt addressable by an armed
-// fault plan.
-common::Status AttemptSlotSolve(const EpochSolveJob& job,
-                                EpochRuntime::WorkerContext& wc,
-                                EpochContentResult& result,
-                                std::size_t attempt) {
+// Ladder-visible outcomes that did not come from a solve of this epoch:
+// the slot shipped an old, static or no plan.
+bool IsDegraded(SlotOutcome outcome) {
+  return outcome == SlotOutcome::kCarriedForward ||
+         outcome == SlotOutcome::kFallback || outcome == SlotOutcome::kFailed;
+}
+
+// Builds `result.params` for solve attempt `attempt` of its content: the
+// content's nominal params, relaxed by the retry schedule for attempt >= 1,
+// then the attempt's kAttemptBegin flight event. Callers open the
+// attempt's fault and flight scopes first, so a params-build fault and the
+// event land on the attempt's coordinates.
+common::Status BuildAttemptParams(const EpochSolveJob& job,
+                                  EpochContentResult& result,
+                                  std::size_t attempt) {
   const content::ContentId k = result.content;
-  MFG_FAULT_SCOPE(job.buffer->epoch_index, k, attempt);
-  MFG_FLIGHT_SCOPE(job.buffer->epoch_index, attempt);
   auto params = job.framework->ContentParams(
       k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
       static_cast<double>(job.obs->request_counts[k]));
@@ -91,6 +96,20 @@ common::Status AttemptSlotSolve(const EpochSolveJob& job,
       kAttemptBegin, 0, k,
       static_cast<std::uint32_t>(result.params.learning.max_iterations),
       result.params.learning.relaxation, result.params.learning.tolerance);
+  return common::Status::Ok();
+}
+
+// One scalar solve attempt for `result`'s content on worker state `wc`.
+// Attempt 0 is the nominal solve; attempts >= 1 apply the relaxation
+// schedule. The fault scope makes the attempt addressable by an armed
+// fault plan.
+common::Status AttemptSlotSolve(const EpochSolveJob& job,
+                                EpochRuntime::WorkerContext& wc,
+                                EpochContentResult& result,
+                                std::size_t attempt) {
+  MFG_FAULT_SCOPE(job.buffer->epoch_index, result.content, attempt);
+  MFG_FLIGHT_SCOPE(job.buffer->epoch_index, attempt);
+  MFG_RETURN_IF_ERROR(BuildAttemptParams(job, result, attempt));
   if (!wc.learner.has_value()) {
     auto learner = BestResponseLearner::Create(result.params);
     if (!learner.ok()) return learner.status();
@@ -173,10 +192,29 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
   return common::Status::Ok();
 }
 
+// Settles slot `slot` on a ladder verdict and records the kLadder flight
+// event: the verdict, the attempts spent and, for kFailed, the slot's
+// final status code.
+void SettleSlot(const EpochSolveJob& job, std::size_t slot,
+                SlotOutcome verdict) {
+  job.buffer->outcomes[slot] = verdict;
+  [[maybe_unused]] const EpochContentResult& result =
+      job.buffer->results[slot];
+  [[maybe_unused]] const common::StatusCode code =
+      job.buffer->statuses[slot].code();
+  MFG_FLIGHT_EVENT_AT(
+      kLadder, static_cast<std::uint8_t>(verdict), job.buffer->epoch_index,
+      result.content, static_cast<std::uint16_t>(result.attempts), 0,
+      static_cast<double>(result.attempts),
+      verdict == SlotOutcome::kFailed
+          ? static_cast<double>(static_cast<int>(code))
+          : 0.0);
+}
+
 // Runs the recovery ladder for slot `slot` given the outcome of its
-// first (attempt-0) solve. Shared by the scalar per-slot path (which
+// first (attempt-0) solve. Shared by the scalar block body (which
 // produced `first_status` via AttemptSlotSolve) and the batched block
-// path (via BatchBestResponseLearner lane statuses): a degraded lane
+// body (via BatchBestResponseLearner lane statuses): a degraded lane
 // falls onto the identical scalar ladder — relaxed retries on `wc`'s
 // scalar learner, carry-forward, static fallback — so recovery behavior
 // is byte-for-byte the same at every batch width.
@@ -186,7 +224,6 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
                                  common::Status first_status) {
   EpochContentResult& result = job.buffer->results[slot];
   common::Status& status = job.buffer->statuses[slot];
-  SlotOutcome& outcome = job.buffer->outcomes[slot];
   const content::ContentId k = result.content;
   const EpochRecoveryOptions& recovery = job.framework->options().recovery;
 
@@ -194,7 +231,7 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
   if (status.ok() &&
       (result.equilibrium.converged || !recovery.enabled ||
        !recovery.retry_on_nonconvergence)) {
-    outcome = SlotOutcome::kSolved;
+    job.buffer->outcomes[slot] = SlotOutcome::kSolved;
     if (recovery.enabled && result.equilibrium.converged) {
       SaveLastGood(job, k, result);
     }
@@ -202,13 +239,7 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
   }
   if (!recovery.enabled ||
       (!status.ok() && !IsRecoverable(status.code()))) {
-    outcome = SlotOutcome::kFailed;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kFailed),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts),
-                        static_cast<double>(static_cast<int>(status.code())));
+    SettleSlot(job, slot, SlotOutcome::kFailed);
     return;
   }
 
@@ -217,13 +248,8 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
     ++result.attempts;
     status = AttemptSlotSolve(job, wc, result, attempt);
     if (status.ok() && result.equilibrium.converged) {
-      outcome = SlotOutcome::kRetried;
       SaveLastGood(job, k, result);
-      MFG_FLIGHT_EVENT_AT(
-          kLadder, static_cast<std::uint8_t>(SlotOutcome::kRetried),
-          job.buffer->epoch_index, k,
-          static_cast<std::uint16_t>(result.attempts), 0,
-          static_cast<double>(result.attempts), 0.0);
+      SettleSlot(job, slot, SlotOutcome::kRetried);
       MFG_OBS_COUNT("core.epoch.retries", 1);
       MFG_LOG(WARNING) << "content " << k << ": recovered on relaxed retry "
                        << attempt << " (epoch "
@@ -231,13 +257,7 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
       return;
     }
     if (!status.ok() && !IsRecoverable(status.code())) {
-      outcome = SlotOutcome::kFailed;
-      MFG_FLIGHT_EVENT_AT(
-          kLadder, static_cast<std::uint8_t>(SlotOutcome::kFailed),
-          job.buffer->epoch_index, k,
-          static_cast<std::uint16_t>(result.attempts), 0,
-          static_cast<double>(result.attempts),
-          static_cast<double>(static_cast<int>(status.code())));
+      SettleSlot(job, slot, SlotOutcome::kFailed);
       return;
     }
   }
@@ -245,12 +265,7 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
     // Every retry stayed clean but unconverged: ship the last attempt's
     // equilibrium rather than discard a usable (if slow) fixed point —
     // the pre-ladder contract never dropped a clean solve either.
-    outcome = SlotOutcome::kRetried;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kRetried),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts), 0.0);
+    SettleSlot(job, slot, SlotOutcome::kRetried);
     MFG_OBS_COUNT("core.epoch.retries", 1);
     MFG_LOG(WARNING) << "content " << k
                      << ": still unconverged after relaxed retries; using "
@@ -269,12 +284,7 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
                      << "); carrying forward last-good equilibrium (epoch "
                      << job.buffer->epoch_index << ")";
     status = common::Status::Ok();
-    outcome = SlotOutcome::kCarriedForward;
-    MFG_FLIGHT_EVENT_AT(
-        kLadder, static_cast<std::uint8_t>(SlotOutcome::kCarriedForward),
-        job.buffer->epoch_index, k,
-        static_cast<std::uint16_t>(result.attempts), 0,
-        static_cast<double>(result.attempts), 0.0);
+    SettleSlot(job, slot, SlotOutcome::kCarriedForward);
     MFG_OBS_COUNT("core.epoch.carry_forwards", 1);
     return;
   }
@@ -288,52 +298,45 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
                         "fallback policy (epoch "
                      << job.buffer->epoch_index << ")";
     status = common::Status::Ok();
-    outcome = SlotOutcome::kFallback;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kFallback),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts), 0.0);
+    SettleSlot(job, slot, SlotOutcome::kFallback);
     MFG_OBS_COUNT("core.epoch.fallbacks", 1);
     return;
   }
   // status keeps the original solve error; the fallback failure is the
   // less actionable of the two.
-  outcome = SlotOutcome::kFailed;
-  MFG_FLIGHT_EVENT_AT(kLadder,
-                      static_cast<std::uint8_t>(SlotOutcome::kFailed),
-                      job.buffer->epoch_index, k,
-                      static_cast<std::uint16_t>(result.attempts), 0,
-                      static_cast<double>(result.attempts),
-                      static_cast<double>(static_cast<int>(status.code())));
+  SettleSlot(job, slot, SlotOutcome::kFailed);
 }
 
-// Solves one content slot on worker `worker`'s long-lived learner and
-// workspace, running the recovery ladder on failure. Writes only this
-// slot's result/status/outcome (plus the slot content's own carry entry,
-// which no other slot touches this epoch), so any slot→worker schedule
-// yields bit-identical results.
-void SolveEpochSlot(void* ctx, std::size_t worker, std::size_t slot) {
+// Block body for batch_width == 1: solves slots [begin, end) one at a
+// time on worker `worker`'s long-lived scalar learner and workspace,
+// running the recovery ladder on failure. This is the reference path the
+// batched body below is held bit-identical to. Writes only these slots'
+// result/status/outcome (plus each slot content's own carry entry, which
+// no other slot touches this epoch), so any block→worker schedule yields
+// bit-identical results.
+void SolveEpochSlots(void* ctx, std::size_t worker, std::size_t begin,
+                     std::size_t end) {
   const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
   // Rate-limit the learners' non-convergence WARNINGs to one line per
   // (epoch, content) — a ladder of relaxed retries would otherwise emit
   // near-identical lines for every attempt.
   NonConvergenceEpochScope nonconvergence_scope(job.buffer->epoch_index);
-  EpochContentResult& result = job.buffer->results[slot];
   EpochRuntime::WorkerContext& wc = job.runtime->worker(worker);
-  MFG_OBS_SPAN_ID("PlanEpoch.SolveContent",
-                  static_cast<std::int64_t>(result.content));
-
-  result.attempts = 1;
-  FinishSlotAfterFirstAttempt(job, wc, slot,
-                              AttemptSlotSolve(job, wc, result, 0));
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    EpochContentResult& result = job.buffer->results[slot];
+    MFG_OBS_SPAN_ID("PlanEpoch.SolveContent",
+                    static_cast<std::int64_t>(result.content));
+    result.attempts = 1;
+    FinishSlotAfterFirstAttempt(job, wc, slot,
+                                AttemptSlotSolve(job, wc, result, 0));
+  }
 }
 
 // Solves slots [begin, end) as one SoA batch on worker `worker`'s
 // long-lived batch learner (batch_width > 1). Attempt 0 of every slot in
 // the block runs in lockstep through BatchBestResponseLearner — each lane
 // executes the exact scalar expression tree, so a clean first attempt is
-// bitwise equal to SolveEpochSlot's. Lanes whose params build, bind, or
+// bitwise equal to SolveEpochSlots'. Lanes whose params build, bind, or
 // solve failed (or came back unconverged) then run the unchanged scalar
 // recovery ladder per slot.
 void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
@@ -364,23 +367,12 @@ void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
     lane.content = k;
     lane.out = &result.equilibrium;
     lane.active = false;
-    lane.status = common::Status::Ok();
     result.attempts = 1;
     // Attempt-0 params build + bind under this lane's fault coordinates
     // (the scalar AttemptSlotSolve preamble).
     MFG_FAULT_SCOPE(job.buffer->epoch_index, k, 0);
-    auto params = job.framework->ContentParams(
-        k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
-        static_cast<double>(job.obs->request_counts[k]));
-    if (!params.ok()) {
-      lane.status = params.status();
-      continue;
-    }
-    result.params = std::move(*params);
-    MFG_FLIGHT_EVENT(
-        kAttemptBegin, 0, k,
-        static_cast<std::uint32_t>(result.params.learning.max_iterations),
-        result.params.learning.relaxation, result.params.learning.tolerance);
+    lane.status = BuildAttemptParams(job, result, 0);
+    if (!lane.status.ok()) continue;
     const common::Status bind = learner.BindLane(i, result.params);
     if (!bind.ok()) {
       lane.status = bind;
@@ -547,26 +539,19 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   const std::size_t epoch = buffer.epoch_index;
 
   // Solve the independent per-content equilibria on the persistent pool
-  // (Alg. 1 line 2). Each worker writes only its own slots. batch_width
-  // > 1 routes through the SoA block path (bit-identical; see
-  // SolveEpochBlock above), batch_width == 1 keeps the scalar per-slot
-  // path.
+  // (Alg. 1 line 2). Each worker writes only its own slots. Blocks shrink
+  // on small epochs so there are at least as many blocks as workers
+  // whenever num_active >= workers — the whole pool warms and shares the
+  // work. Results are unaffected: both block bodies are bit-identical to
+  // the scalar per-slot solve at any block width. batch_width > 1 runs
+  // the SoA body (SolveEpochBlock); batch_width == 1 gives one-slot blocks
+  // on the scalar body (SolveEpochSlots).
   EpochSolveJob job{this, &obs, &buffer, &state_->runtime};
-  if (options_.batch_width > 1) {
-    // Shrink blocks on small epochs so there are at least as many blocks
-    // as workers whenever num_active >= workers — the whole pool warms and
-    // shares the work, as the scalar round-robin path always did. Results
-    // are unaffected: every lane is bit-identical to the scalar solve at
-    // any block width.
-    const std::size_t workers = state_->runtime.num_workers();
-    const std::size_t per_worker =
-        std::max<std::size_t>(1, buffer.num_active / workers);
-    state_->runtime.RunEpochBlocks(
-        buffer.num_active, std::min(options_.batch_width, per_worker),
-        &SolveEpochBlock, &job);
-  } else {
-    state_->runtime.RunEpoch(buffer.num_active, &SolveEpochSlot, &job);
-  }
+  const std::size_t per_worker = std::max<std::size_t>(
+      1, buffer.num_active / state_->runtime.num_workers());
+  state_->runtime.RunEpoch(
+      buffer.num_active, std::min(options_.batch_width, per_worker),
+      options_.batch_width > 1 ? &SolveEpochBlock : &SolveEpochSlots, &job);
   ++buffer.epoch_index;
 
   // Degradation tally + aggregated failure report. The per-slot statuses
@@ -576,11 +561,14 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   std::size_t carried_forward = 0;
   std::size_t fallback = 0;
   std::size_t failed = 0;
+  std::size_t degraded = 0;
   std::size_t num_failed = 0;
   common::StatusCode first_code = common::StatusCode::kOk;
   std::string failure_detail;
   for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
-    switch (buffer.outcomes[slot]) {
+    const SlotOutcome outcome = buffer.outcomes[slot];
+    if (IsDegraded(outcome)) ++degraded;
+    switch (outcome) {
       case SlotOutcome::kSolved:
         ++solved;
         break;
@@ -609,9 +597,8 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
     if (num_failed == 0) first_code = status.code();
     ++num_failed;
   }
-  MFG_OBS_GAUGE_SET(
-      "core.epoch.degraded_contents",
-      static_cast<double>(carried_forward + fallback + failed));
+  MFG_OBS_GAUGE_SET("core.epoch.degraded_contents",
+                    static_cast<double>(degraded));
 
   // Equilibrium-quality probe (options_.eq_probe): re-evaluates the
   // best response against each probed slot's final mean field (ε-Nash
@@ -690,11 +677,7 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
     const bool dump_all = obs::GetFlightDumpOptions().dump_healthy;
     std::vector<std::size_t> dump_contents;
     for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
-      const SlotOutcome outcome = buffer.outcomes[slot];
-      const bool degraded = outcome == SlotOutcome::kCarriedForward ||
-                            outcome == SlotOutcome::kFallback ||
-                            outcome == SlotOutcome::kFailed;
-      if (degraded || dump_all) {
+      if (IsDegraded(buffer.outcomes[slot]) || dump_all) {
         dump_contents.push_back(buffer.results[slot].content);
       }
     }
@@ -743,10 +726,7 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
     // too. Reuses the report's vector capacity across epochs.
     report->degraded_contents.clear();
     for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
-      const SlotOutcome outcome = buffer.outcomes[slot];
-      if (outcome == SlotOutcome::kCarriedForward ||
-          outcome == SlotOutcome::kFallback ||
-          outcome == SlotOutcome::kFailed) {
+      if (IsDegraded(buffer.outcomes[slot])) {
         report->degraded_contents.push_back(buffer.results[slot].content);
       }
     }

@@ -91,11 +91,13 @@ struct MfgCpOptions {
   // 1 = serial (no threads are spawned). Results are bit-identical for
   // every value.
   std::size_t parallelism = 1;
-  // Contents solved together as one SoA batch (the lanes of the batched
+  // Largest block of contents a pool worker claims per EpochRuntime block
+  // (shrunk on small epochs so every worker gets a block). Blocks wider
+  // than 1 solve as one SoA batch (the lanes of the batched
   // HJB/FPK/best-response solvers; see ARCHITECTURE.md "Batched solver
-  // layer"). Workers claim contiguous blocks of this many contents; each
-  // lane runs the exact scalar expression tree, so results stay
-  // bit-identical for every value. 1 = the scalar per-slot path.
+  // layer"); 1 solves one-slot blocks on the scalar learner. Each lane
+  // runs the exact scalar expression tree, so results stay bit-identical
+  // for every value.
   std::size_t batch_width = 8;
   // Per-content failure handling (see EpochRecoveryOptions above).
   EpochRecoveryOptions recovery;

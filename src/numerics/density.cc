@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/math_util.h"
 #include "numerics/quadrature.h"
 #include "numerics/simd_support.h"
 
@@ -86,48 +85,12 @@ common::Status Density1D::TruncatedGaussianInto(const Grid1D& grid,
   return common::Status::Ok();
 }
 
-common::StatusOr<Density1D> Density1D::FromSamples(
-    const Grid1D& grid, std::vector<double> values) {
-  if (values.size() != grid.size()) {
-    return common::Status::InvalidArgument("values/grid size mismatch");
-  }
-  for (double v : values) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return common::Status::InvalidArgument(
-          "density samples must be finite and non-negative");
-    }
-  }
-  Density1D density(grid, std::move(values));
-  MFG_RETURN_IF_ERROR(density.Normalize());
-  return density;
-}
-
 common::StatusOr<Density1D> Density1D::FromSamplesUnchecked(
     const Grid1D& grid, std::vector<double> values) {
   if (values.size() != grid.size()) {
     return common::Status::InvalidArgument("values/grid size mismatch");
   }
   return Density1D(grid, std::move(values));
-}
-
-common::StatusOr<Density1D> Density1D::FromPoints(
-    const Grid1D& grid, const std::vector<double>& points) {
-  if (points.empty()) {
-    return common::Status::InvalidArgument("no points");
-  }
-  std::vector<double> values(grid.size(), 0.0);
-  for (double p : points) {
-    const double clamped = common::Clamp(p, grid.lo(), grid.hi());
-    const std::size_t i = grid.CellIndex(clamped);
-    const double t = (clamped - grid.x(i)) / grid.dx();
-    // Cloud-in-cell: split the unit mass between the two bracketing nodes,
-    // as density (divide by dx so that trapezoid mass integrates to ~1).
-    values[i] += (1.0 - t) / grid.dx();
-    values[i + 1] += t / grid.dx();
-  }
-  Density1D density(grid, std::move(values));
-  MFG_RETURN_IF_ERROR(density.Normalize());
-  return density;
 }
 
 double Density1D::Mass() const {

@@ -39,22 +39,11 @@ class Density1D {
   static common::Status TruncatedGaussianInto(const Grid1D& grid, double mean,
                                               double stddev, Density1D& out);
 
-  // Wraps raw non-negative samples, renormalizing to unit mass. Fails on
-  // negative entries or zero total mass.
-  static common::StatusOr<Density1D> FromSamples(const Grid1D& grid,
-                                                 std::vector<double> values);
-
   // Wraps raw samples without validation or normalization. For solver
   // internals that immediately follow up with ClipAndNormalize(); fails
   // only on a size mismatch.
   static common::StatusOr<Density1D> FromSamplesUnchecked(
       const Grid1D& grid, std::vector<double> values);
-
-  // A kernel-free empirical density: histogram of point masses placed at
-  // `points`, each spread linearly over its two neighbouring nodes (cloud-
-  // in-cell). Used to compare agent populations against the mean field.
-  static common::StatusOr<Density1D> FromPoints(
-      const Grid1D& grid, const std::vector<double>& points);
 
   const Grid1D& grid() const { return grid_; }
   const std::vector<double>& values() const { return values_; }

@@ -254,31 +254,6 @@ common::StatusOr<std::vector<double>> SecondDerivative(
   return g;
 }
 
-common::StatusOr<std::vector<double>> ConservativeAdvectionDivergence(
-    const Grid1D& grid, const std::vector<double>& f,
-    const std::vector<double>& velocity) {
-  MFG_RETURN_IF_ERROR(ValidateField(grid, f));
-  MFG_RETURN_IF_ERROR(ValidateField(grid, velocity));
-  const std::size_t n = grid.size();
-  const double dx = grid.dx();
-
-  // Face flux between node i and i+1 with donor-cell upwinding. Boundary
-  // faces carry zero flux (reflecting domain), which makes the scheme
-  // exactly mass-conservative: sum_i out[i] * dx == 0.
-  std::vector<double> face_flux(n + 1, 0.0);
-  for (std::size_t face = 1; face < n; ++face) {
-    const double v_face = 0.5 * (velocity[face - 1] + velocity[face]);
-    const double donor = v_face > 0.0 ? f[face - 1] : f[face];
-    face_flux[face] = v_face * donor;
-  }
-
-  std::vector<double> div(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    div[i] = (face_flux[i + 1] - face_flux[i]) / dx;
-  }
-  return div;
-}
-
 double StableTimeStep(double dx, double max_speed, double diffusion,
                       double safety) {
   double dt = std::numeric_limits<double>::infinity();

@@ -98,15 +98,6 @@ common::StatusOr<std::vector<double>> UpwindGradient(
 common::StatusOr<std::vector<double>> SecondDerivative(
     const Grid1D& grid, const std::vector<double>& f);
 
-// Conservative upwind divergence of the flux (velocity * f):
-//   out[i] = d/dx (velocity * f) |_i
-// computed from face fluxes so that the total mass change equals the
-// boundary flux (exactly zero with the no-flux closure used here). This is
-// what the FPK solver needs to conserve probability mass.
-common::StatusOr<std::vector<double>> ConservativeAdvectionDivergence(
-    const Grid1D& grid, const std::vector<double>& f,
-    const std::vector<double>& velocity);
-
 // Largest stable explicit time step for advection speed `max_speed` and
 // diffusion coefficient `diffusion` (sigma^2/2) on spacing dx:
 //   dt <= safety * min(dx / max_speed, dx^2 / (2 * diffusion)).

@@ -23,42 +23,4 @@ common::StatusOr<double> LinearInterpolate(const Grid1D& grid,
   return f[i] + (f[i + 1] - f[i]) * std::clamp(t, 0.0, 1.0);
 }
 
-common::StatusOr<double> BilinearInterpolate(const Grid1D& grid0,
-                                             const Grid1D& grid1,
-                                             const std::vector<double>& f,
-                                             double x0, double x1) {
-  if (f.size() != grid0.size() * grid1.size()) {
-    return common::Status::InvalidArgument("field/grid size mismatch");
-  }
-  const double c0 = std::clamp(x0, grid0.lo(), grid0.hi());
-  const double c1 = std::clamp(x1, grid1.lo(), grid1.hi());
-  const std::size_t i = grid0.CellIndex(c0);
-  const std::size_t j = grid1.CellIndex(c1);
-  const double t0 =
-      std::clamp((c0 - grid0.x(i)) / grid0.dx(), 0.0, 1.0);
-  const double t1 =
-      std::clamp((c1 - grid1.x(j)) / grid1.dx(), 0.0, 1.0);
-  const std::size_t stride = grid1.size();
-  const double f00 = f[i * stride + j];
-  const double f01 = f[i * stride + j + 1];
-  const double f10 = f[(i + 1) * stride + j];
-  const double f11 = f[(i + 1) * stride + j + 1];
-  const double top = f00 + (f01 - f00) * t1;
-  const double bottom = f10 + (f11 - f10) * t1;
-  return top + (bottom - top) * t0;
-}
-
-common::StatusOr<std::vector<double>> Resample(const Grid1D& from,
-                                               const std::vector<double>& f,
-                                               const Grid1D& to) {
-  if (f.size() != from.size()) {
-    return common::Status::InvalidArgument("field/grid size mismatch");
-  }
-  std::vector<double> out(to.size());
-  for (std::size_t i = 0; i < to.size(); ++i) {
-    MFG_ASSIGN_OR_RETURN(out[i], LinearInterpolate(from, f, to.x(i)));
-  }
-  return out;
-}
-
 }  // namespace mfg::numerics

@@ -23,17 +23,6 @@ common::StatusOr<double> LinearInterpolate(const Grid1D& grid,
                                            const std::vector<double>& f,
                                            double x);
 
-// Bilinear interpolation of a row-major field over (grid0, grid1).
-common::StatusOr<double> BilinearInterpolate(const Grid1D& grid0,
-                                             const Grid1D& grid1,
-                                             const std::vector<double>& f,
-                                             double x0, double x1);
-
-// Resamples a field from one grid onto another by linear interpolation.
-common::StatusOr<std::vector<double>> Resample(const Grid1D& from,
-                                               const std::vector<double>& f,
-                                               const Grid1D& to);
-
 }  // namespace mfg::numerics
 
 #endif  // MFGCP_NUMERICS_INTERPOLATION_H_

@@ -94,11 +94,4 @@ common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,
   return TrapezoidOnInterval(grid, std::span<const double>(f), a, b);
 }
 
-common::StatusOr<double> TrapezoidFunction(
-    const Grid1D& grid, const std::function<double(double)>& fn) {
-  std::vector<double> samples(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) samples[i] = fn(grid.x(i));
-  return Trapezoid(grid, samples);
-}
-
 }  // namespace mfg::numerics

@@ -1,7 +1,6 @@
 #ifndef MFGCP_NUMERICS_QUADRATURE_H_
 #define MFGCP_NUMERICS_QUADRATURE_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -42,10 +41,6 @@ common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,
 common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,
                                              const std::vector<double>& f,
                                              double a, double b);
-
-// Integrates a callable by sampling it on the grid nodes.
-common::StatusOr<double> TrapezoidFunction(
-    const Grid1D& grid, const std::function<double(double)>& fn);
 
 }  // namespace mfg::numerics
 

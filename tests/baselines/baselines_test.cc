@@ -3,7 +3,6 @@
 #include "baselines/mfg_no_sharing.h"
 #include "baselines/most_popular.h"
 #include "baselines/random_replacement.h"
-#include "baselines/myopic.h"
 #include "baselines/udcs.h"
 
 namespace mfg::baselines {
@@ -143,43 +142,10 @@ TEST(MfgNoSharingTest, EquilibriumHasNoSharingBenefit) {
   }
 }
 
-TEST(MyopicTest, DegeneratesToNeverCaching) {
-  // Every x-term of the instantaneous utility is a cost, so the myopic
-  // best response is x = 0 for any observation — the whole caching
-  // incentive lives in the HJB's dynamic term (Theorem 1).
-  MyopicPolicy policy;
-  common::Rng rng(1);
-  for (double remaining : {0.0, 30.0, 100.0}) {
-    core::PolicyContext ctx = MakeContext();
-    ctx.remaining = remaining;
-    EXPECT_DOUBLE_EQ(policy.Rate(ctx, rng), 0.0);
-  }
-  EXPECT_EQ(policy.name(), "Myopic");
-}
-
-TEST(MyopicTest, MarginalUtilityNonPositive) {
-  MyopicPolicy policy;
-  for (double x : {0.0, 0.5, 1.0}) {
-    EXPECT_LE(policy.MarginalUtility(x, 100.0, 1.0), 0.0);
-  }
-}
-
-TEST(MyopicTest, SubsidizedDownloadWouldCache) {
-  // Sanity of the computed (not hard-coded) rate: with a negative linear
-  // placement coefficient (a subsidy), the myopic rate turns positive.
-  MyopicParams params;
-  params.placement.w4 = -500.0;
-  params.eta2 = 0.0;
-  MyopicPolicy policy(params);
-  common::Rng rng(1);
-  EXPECT_GT(policy.Rate(MakeContext(), rng), 0.0);
-}
-
 TEST(FactoryTest, MakersProduceNamedPolicies) {
   EXPECT_EQ(MakeRandomReplacement()->name(), "RR");
   EXPECT_EQ(MakeMostPopular()->name(), "MPC");
   EXPECT_EQ(MakeUdcs()->name(), "UDCS");
-  EXPECT_EQ(MakeMyopic()->name(), "Myopic");
 }
 
 }  // namespace

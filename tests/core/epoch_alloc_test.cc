@@ -16,15 +16,22 @@
 namespace mfg::core {
 namespace {
 
+using ::mfg::core::testing::FastOptions;
 using ::mfg::core::testing::MakeFramework;
 using ::mfg::core::testing::MakeObservation;
 
 // Note the recovery ladder is enabled by default: these tests also pin
 // down that its bookkeeping (outcomes, last-good copies) stays off the
-// heap on the no-fault path.
-void ExpectWarmedEpochAllocationFree(std::size_t parallelism) {
+// heap on the no-fault path. batch_width 1 runs the scalar block body,
+// wider widths the SoA one; both carry the contract.
+void ExpectWarmedEpochAllocationFree(std::size_t parallelism,
+                                     std::size_t batch_width) {
+  SCOPED_TRACE(::testing::Message() << "parallelism " << parallelism
+                                    << " batch_width " << batch_width);
   constexpr std::size_t kContents = 8;
-  auto framework = MakeFramework(kContents, parallelism);
+  MfgCpOptions options = FastOptions(parallelism);
+  options.batch_width = batch_width;
+  auto framework = MakeFramework(kContents, parallelism, &options);
   const EpochObservation obs = MakeObservation(kContents);
   EpochPlanBuffer buffer;
   // Epoch 1 is the round-robin warmup (sizes every worker's learner and
@@ -45,11 +52,15 @@ void ExpectWarmedEpochAllocationFree(std::size_t parallelism) {
 }
 
 TEST(EpochAllocTest, WarmedSerialEpochIsAllocationFree) {
-  ExpectWarmedEpochAllocationFree(1);
+  for (std::size_t batch_width : {1, 8}) {
+    ExpectWarmedEpochAllocationFree(1, batch_width);
+  }
 }
 
 TEST(EpochAllocTest, WarmedParallelEpochIsAllocationFree) {
-  ExpectWarmedEpochAllocationFree(4);
+  for (std::size_t batch_width : {1, 8}) {
+    ExpectWarmedEpochAllocationFree(4, batch_width);
+  }
 }
 
 #if MFGCP_FAULTS_ENABLED

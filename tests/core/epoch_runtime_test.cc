@@ -3,6 +3,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <vector>
@@ -19,92 +20,142 @@ using ::mfg::core::testing::MakeObservation;
 using ::testing::HasSubstr;
 
 // ---------------------------------------------------------------------------
-// EpochRuntime scheduling, directly against a counting job.
+// EpochRuntime scheduling, directly against a counting block body. Every
+// case runs at block sizes 1 and 3 over slot counts 3 does not divide, so
+// the short trailing block is always exercised.
+
+constexpr std::size_t kBlockSizes[] = {1, 3};
 
 struct RecordCtx {
-  std::vector<std::atomic<int>>* hits;
-  std::atomic<std::size_t>* max_worker;
+  std::size_t count = 0;
+  std::size_t block_size = 1;
+  std::vector<std::atomic<int>> slot_hits;
+  std::vector<std::atomic<int>> block_hits;
+  // Worker that ran each block in the most recent epoch.
+  std::vector<std::atomic<std::size_t>> block_worker;
+  std::atomic<int> misaligned{0};
+
+  RecordCtx(std::size_t slots, std::size_t block)
+      : count(slots),
+        block_size(block),
+        slot_hits(slots),
+        block_hits((slots + block - 1) / block),
+        block_worker((slots + block - 1) / block) {}
 };
 
-void RecordSlot(void* ctx, std::size_t worker, std::size_t slot) {
+void RecordBlock(void* ctx, std::size_t worker, std::size_t begin,
+                 std::size_t end) {
   RecordCtx& r = *static_cast<RecordCtx*>(ctx);
-  (*r.hits)[slot].fetch_add(1, std::memory_order_relaxed);
-  std::size_t seen = r.max_worker->load(std::memory_order_relaxed);
-  while (worker > seen &&
-         !r.max_worker->compare_exchange_weak(seen, worker)) {
+  // Block b must cover exactly [b·B, min(count, (b+1)·B)).
+  if (begin >= r.count || begin % r.block_size != 0 ||
+      end != std::min(r.count, begin + r.block_size)) {
+    r.misaligned.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const std::size_t b = begin / r.block_size;
+  r.block_hits[b].fetch_add(1, std::memory_order_relaxed);
+  r.block_worker[b].store(worker, std::memory_order_relaxed);
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    r.slot_hits[slot].fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void RunRecordedEpoch(EpochRuntime& runtime, std::size_t count,
-                      std::vector<std::atomic<int>>& hits,
-                      std::atomic<std::size_t>& max_worker) {
-  RecordCtx ctx{&hits, &max_worker};
-  runtime.RunEpoch(count, &RecordSlot, &ctx);
+void RunRecordedEpoch(EpochRuntime& runtime, RecordCtx& ctx) {
+  runtime.RunEpoch(ctx.count, ctx.block_size, &RecordBlock, &ctx);
 }
 
 TEST(EpochRuntimeTest, EverySlotSolvedExactlyOnce) {
-  for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
-    EpochRuntime runtime(parallelism);
-    constexpr std::size_t kSlots = 13;  // Not a multiple of the pool size.
-    std::vector<std::atomic<int>> hits(kSlots);
-    std::atomic<std::size_t> max_worker{0};
-    RunRecordedEpoch(runtime, kSlots, hits, max_worker);
-    for (std::size_t s = 0; s < kSlots; ++s) {
-      EXPECT_EQ(hits[s].load(), 1) << "slot " << s;
+  for (std::size_t parallelism : {1, 2, 4}) {
+    for (std::size_t block : kBlockSizes) {
+      SCOPED_TRACE(::testing::Message()
+                   << "parallelism " << parallelism << " block " << block);
+      EpochRuntime runtime(parallelism);
+      // Not a multiple of the pool size or of the block size.
+      RecordCtx ctx(13, block);
+      RunRecordedEpoch(runtime, ctx);
+      // Second (work-stealing) epoch covers every block again.
+      RunRecordedEpoch(runtime, ctx);
+      EXPECT_EQ(ctx.misaligned.load(), 0);
+      for (std::size_t b = 0; b < ctx.block_hits.size(); ++b) {
+        EXPECT_EQ(ctx.block_hits[b].load(), 2) << "block " << b;
+        EXPECT_LT(ctx.block_worker[b].load(), runtime.num_workers())
+            << "block " << b;
+      }
+      for (std::size_t s = 0; s < ctx.count; ++s) {
+        EXPECT_EQ(ctx.slot_hits[s].load(), 2) << "slot " << s;
+      }
     }
-    // Second (work-stealing) epoch covers every slot again.
-    RunRecordedEpoch(runtime, kSlots, hits, max_worker);
-    for (std::size_t s = 0; s < kSlots; ++s) {
-      EXPECT_EQ(hits[s].load(), 2) << "slot " << s;
-    }
-    EXPECT_LT(max_worker.load(), runtime.num_workers());
   }
 }
 
 TEST(EpochRuntimeTest, FirstEpochWarmsEveryWorkerRoundRobin) {
-  EpochRuntime runtime(4);
-  ASSERT_EQ(runtime.num_workers(), 4u);
-  constexpr std::size_t kSlots = 8;
-  std::vector<std::atomic<int>> hits(kSlots);
-  std::atomic<std::size_t> max_worker{0};
-  RunRecordedEpoch(runtime, kSlots, hits, max_worker);
-  // The warmup epoch partitions statically: slot i -> worker i mod 4, so
-  // every worker solves exactly 2 of the 8 slots and comes out warmed.
-  for (std::size_t w = 0; w < runtime.num_workers(); ++w) {
-    EXPECT_TRUE(runtime.worker(w).warmed) << "worker " << w;
-    EXPECT_EQ(runtime.worker(w).contents_solved, 2u) << "worker " << w;
+  for (std::size_t parallelism : {1, 2, 4}) {
+    for (std::size_t block : kBlockSizes) {
+      SCOPED_TRACE(::testing::Message()
+                   << "parallelism " << parallelism << " block " << block);
+      EpochRuntime runtime(parallelism);
+      ASSERT_EQ(runtime.num_workers(), parallelism);
+      // 14 slots: at least one block per worker at either block size.
+      RecordCtx ctx(14, block);
+      RunRecordedEpoch(runtime, ctx);
+      // The warmup epoch partitions statically: block b -> worker
+      // b mod W, so every worker solves its blocks' slots and comes out
+      // warmed.
+      std::vector<std::size_t> expected(parallelism, 0);
+      for (std::size_t b = 0; b < ctx.block_hits.size(); ++b) {
+        EXPECT_EQ(ctx.block_worker[b].load(), b % parallelism)
+            << "block " << b;
+        const std::size_t begin = b * block;
+        expected[b % parallelism] += std::min(ctx.count, begin + block) - begin;
+      }
+      for (std::size_t w = 0; w < runtime.num_workers(); ++w) {
+        EXPECT_TRUE(runtime.worker(w).warmed) << "worker " << w;
+        EXPECT_EQ(runtime.worker(w).contents_solved, expected[w])
+            << "worker " << w;
+      }
+      // Steady-state epochs steal, but the per-epoch totals still add up.
+      RunRecordedEpoch(runtime, ctx);
+      std::size_t total = 0;
+      for (std::size_t w = 0; w < runtime.num_workers(); ++w) {
+        total += runtime.worker(w).contents_solved;
+      }
+      EXPECT_EQ(total, ctx.count);
+    }
   }
-  // Steady-state epochs steal, but the per-epoch totals still add up.
-  RunRecordedEpoch(runtime, kSlots, hits, max_worker);
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < runtime.num_workers(); ++w) {
-    total += runtime.worker(w).contents_solved;
-  }
-  EXPECT_EQ(total, kSlots);
 }
 
 TEST(EpochRuntimeTest, EmptyEpochIsANoOp) {
-  EpochRuntime runtime(2);
-  std::vector<std::atomic<int>> hits(1);
-  std::atomic<std::size_t> max_worker{0};
-  RunRecordedEpoch(runtime, 0, hits, max_worker);
-  EXPECT_EQ(hits[0].load(), 0);
-  EXPECT_FALSE(runtime.worker(0).warmed);
-  EXPECT_FALSE(runtime.worker(1).warmed);
+  for (std::size_t block : kBlockSizes) {
+    EpochRuntime runtime(2);
+    RecordCtx ctx(0, block);
+    RunRecordedEpoch(runtime, ctx);
+    EXPECT_EQ(ctx.misaligned.load(), 0);
+    EXPECT_FALSE(runtime.worker(0).warmed);
+    EXPECT_FALSE(runtime.worker(1).warmed);
+  }
 }
 
 TEST(EpochRuntimeTest, SerialRuntimeRunsInlineOnWorkerZero) {
   // parallelism <= 1 must not spawn threads; everything lands on worker 0.
-  for (std::size_t parallelism : {std::size_t{0}, std::size_t{1}}) {
-    EpochRuntime runtime(parallelism);
-    EXPECT_EQ(runtime.num_workers(), 1u);
-    constexpr std::size_t kSlots = 5;
-    std::vector<std::atomic<int>> hits(kSlots);
-    std::atomic<std::size_t> max_worker{0};
-    RunRecordedEpoch(runtime, kSlots, hits, max_worker);
-    EXPECT_EQ(max_worker.load(), 0u);
-    EXPECT_EQ(runtime.worker(0).contents_solved, kSlots);
-    EXPECT_TRUE(runtime.worker(0).warmed);
+  for (std::size_t parallelism : {0, 1}) {
+    for (std::size_t block : kBlockSizes) {
+      SCOPED_TRACE(::testing::Message()
+                   << "parallelism " << parallelism << " block " << block);
+      EpochRuntime runtime(parallelism);
+      EXPECT_EQ(runtime.num_workers(), 1u);
+      RecordCtx ctx(5, block);
+      RunRecordedEpoch(runtime, ctx);
+      EXPECT_EQ(ctx.misaligned.load(), 0);
+      for (std::size_t b = 0; b < ctx.block_hits.size(); ++b) {
+        EXPECT_EQ(ctx.block_hits[b].load(), 1) << "block " << b;
+        EXPECT_EQ(ctx.block_worker[b].load(), 0u) << "block " << b;
+      }
+      for (std::size_t s = 0; s < ctx.count; ++s) {
+        EXPECT_EQ(ctx.slot_hits[s].load(), 1) << "slot " << s;
+      }
+      EXPECT_EQ(runtime.worker(0).contents_solved, ctx.count);
+      EXPECT_TRUE(runtime.worker(0).warmed);
+    }
   }
 }
 

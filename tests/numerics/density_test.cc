@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "common/random.h"
-
 namespace mfg::numerics {
 namespace {
 
@@ -46,21 +42,6 @@ TEST(DensityTest, TruncatedGaussianValidation) {
   EXPECT_FALSE(Density1D::TruncatedGaussian(grid, 1e6, 0.01).ok());
 }
 
-TEST(DensityTest, FromSamplesNormalizes) {
-  auto grid = MakeGrid(0.0, 1.0, 3);
-  auto density = Density1D::FromSamples(grid, {1.0, 2.0, 1.0}).value();
-  EXPECT_NEAR(density.Mass(), 1.0, 1e-12);
-}
-
-TEST(DensityTest, FromSamplesRejectsNegativeOrNan) {
-  auto grid = MakeGrid(0.0, 1.0, 3);
-  EXPECT_FALSE(Density1D::FromSamples(grid, {1.0, -0.1, 1.0}).ok());
-  EXPECT_FALSE(
-      Density1D::FromSamples(grid, {1.0, std::nan(""), 1.0}).ok());
-  EXPECT_FALSE(Density1D::FromSamples(grid, {0.0, 0.0, 0.0}).ok());
-  EXPECT_FALSE(Density1D::FromSamples(grid, {1.0}).ok());
-}
-
 TEST(DensityTest, FromSamplesUncheckedSkipsValidation) {
   auto grid = MakeGrid(0.0, 1.0, 3);
   auto density =
@@ -69,24 +50,6 @@ TEST(DensityTest, FromSamplesUncheckedSkipsValidation) {
   ASSERT_TRUE(density->ClipAndNormalize().ok());
   EXPECT_NEAR(density->Mass(), 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(density->values()[1], 0.0);
-}
-
-TEST(DensityTest, FromPointsConcentratesMass) {
-  auto grid = MakeGrid(0.0, 10.0, 101);
-  std::vector<double> points(1000, 7.0);
-  auto density = Density1D::FromPoints(grid, points).value();
-  EXPECT_NEAR(density.Mass(), 1.0, 1e-12);
-  EXPECT_NEAR(density.Mean(), 7.0, 0.05);
-}
-
-TEST(DensityTest, FromPointsMatchesGaussianSample) {
-  auto grid = MakeGrid(-5.0, 5.0, 201);
-  common::Rng rng(99);
-  std::vector<double> points(200000);
-  for (double& p : points) p = rng.Gaussian(1.0, 0.8);
-  auto density = Density1D::FromPoints(grid, points).value();
-  EXPECT_NEAR(density.Mean(), 1.0, 0.02);
-  EXPECT_NEAR(density.Variance(), 0.64, 0.02);
 }
 
 TEST(DensityTest, MassOnIntervalSplitsAtThreshold) {

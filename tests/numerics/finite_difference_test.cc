@@ -97,37 +97,6 @@ TEST(SecondDerivativeTest, LinearIsZero) {
   for (double v : *d2) EXPECT_NEAR(v, 0.0, 1e-10);
 }
 
-TEST(ConservativeAdvectionTest, TotalMassChangeIsZero) {
-  auto grid = MakeGrid(0.0, 1.0, 41);
-  // Arbitrary positive density and a spatially varying velocity.
-  std::vector<double> f(grid.size());
-  std::vector<double> v(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double x = grid.x(i);
-    f[i] = 1.0 + std::sin(6.0 * x) * 0.5;
-    v[i] = std::cos(3.0 * x);
-  }
-  auto div = ConservativeAdvectionDivergence(grid, f, v);
-  ASSERT_TRUE(div.ok());
-  double total = 0.0;
-  for (double d : *div) total += d * grid.dx();
-  EXPECT_NEAR(total, 0.0, 1e-12);
-}
-
-TEST(ConservativeAdvectionTest, UniformFlowOfUniformDensityInterior) {
-  auto grid = MakeGrid(0.0, 1.0, 21);
-  std::vector<double> f(grid.size(), 2.0);
-  std::vector<double> v(grid.size(), 1.0);
-  auto div = ConservativeAdvectionDivergence(grid, f, v).value();
-  // Interior divergence vanishes; boundary cells absorb/emit the flux
-  // because boundary faces are closed.
-  for (std::size_t i = 1; i + 1 < grid.size(); ++i) {
-    EXPECT_NEAR(div[i], 0.0, 1e-12);
-  }
-  EXPECT_GT(div[0], 0.0);                 // Outflow from the first cell...
-  EXPECT_LT(div[grid.size() - 1], 0.0);   // ...piles into the last.
-}
-
 TEST(StableTimeStepTest, Formulas) {
   // Advection-limited.
   EXPECT_NEAR(StableTimeStep(0.1, 2.0, 0.0, 1.0), 0.05, 1e-12);

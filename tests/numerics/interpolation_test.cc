@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace mfg::numerics {
 namespace {
 
@@ -42,60 +40,6 @@ TEST(LinearInterpolateTest, LinearFieldIsReproducedExactly) {
 TEST(LinearInterpolateTest, RejectsSizeMismatch) {
   auto grid = MakeGrid(0.0, 1.0, 3);
   EXPECT_FALSE(LinearInterpolate(grid, {1.0}, 0.5).ok());
-}
-
-TEST(BilinearInterpolateTest, ExactOnBilinearField) {
-  auto g0 = MakeGrid(0.0, 1.0, 5);
-  auto g1 = MakeGrid(0.0, 2.0, 9);
-  std::vector<double> f(g0.size() * g1.size());
-  auto fn = [](double a, double b) { return 2.0 * a + 3.0 * b + a * b; };
-  for (std::size_t i = 0; i < g0.size(); ++i) {
-    for (std::size_t j = 0; j < g1.size(); ++j) {
-      f[i * g1.size() + j] = fn(g0.x(i), g1.x(j));
-    }
-  }
-  for (double a : {0.13, 0.5, 0.99}) {
-    for (double b : {0.2, 1.1, 1.93}) {
-      EXPECT_NEAR(BilinearInterpolate(g0, g1, f, a, b).value(), fn(a, b),
-                  1e-12);
-    }
-  }
-}
-
-TEST(BilinearInterpolateTest, ClampsOutside) {
-  auto g = MakeGrid(0.0, 1.0, 2);
-  const std::vector<double> f = {0.0, 1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(BilinearInterpolate(g, g, f, -1.0, -1.0).value(), 0.0);
-  EXPECT_DOUBLE_EQ(BilinearInterpolate(g, g, f, 2.0, 2.0).value(), 3.0);
-}
-
-TEST(BilinearInterpolateTest, RejectsSizeMismatch) {
-  auto g = MakeGrid(0.0, 1.0, 2);
-  EXPECT_FALSE(BilinearInterpolate(g, g, {1.0, 2.0}, 0.5, 0.5).ok());
-}
-
-TEST(ResampleTest, RoundTripOnLinearField) {
-  auto from = MakeGrid(0.0, 1.0, 11);
-  auto to = MakeGrid(0.0, 1.0, 37);
-  std::vector<double> f(from.size());
-  for (std::size_t i = 0; i < from.size(); ++i) f[i] = 5.0 * from.x(i);
-  auto resampled = Resample(from, f, to);
-  ASSERT_TRUE(resampled.ok());
-  for (std::size_t i = 0; i < to.size(); ++i) {
-    EXPECT_NEAR((*resampled)[i], 5.0 * to.x(i), 1e-12);
-  }
-}
-
-TEST(ResampleTest, CoarserGridKeepsEndpoints) {
-  auto from = MakeGrid(0.0, 1.0, 101);
-  auto to = MakeGrid(0.0, 1.0, 3);
-  std::vector<double> f(from.size());
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    f[i] = std::cos(from.x(i));
-  }
-  auto resampled = Resample(from, f, to).value();
-  EXPECT_NEAR(resampled.front(), 1.0, 1e-12);
-  EXPECT_NEAR(resampled.back(), std::cos(1.0), 1e-12);
 }
 
 }  // namespace

@@ -89,12 +89,5 @@ TEST(TrapezoidOnIntervalTest, EmptyAndOutOfRangeIntervals) {
   EXPECT_NEAR(TrapezoidOnInterval(grid, f, -5.0, 5.0).value(), 1.0, 1e-12);
 }
 
-TEST(TrapezoidFunctionTest, MatchesSampledVersion) {
-  auto grid = MakeGrid(0.0, 3.0, 301);
-  const double via_fn =
-      TrapezoidFunction(grid, [](double x) { return x * x; }).value();
-  EXPECT_NEAR(via_fn, 9.0, 1e-3);
-}
-
 }  // namespace
 }  // namespace mfg::numerics
