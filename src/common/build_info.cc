@@ -17,9 +17,6 @@
 #ifndef MFGCP_BUILD_FAULTS
 #define MFGCP_BUILD_FAULTS 0
 #endif
-#ifndef MFGCP_BUILD_SIMD
-#define MFGCP_BUILD_SIMD 0
-#endif
 
 namespace mfg::common {
 
@@ -30,7 +27,7 @@ const BuildInfo& GetBuildInfo() {
       MFGCP_BUILD_TYPE_NAME,
       MFGCP_BUILD_OBS != 0,
       MFGCP_BUILD_FAULTS != 0,
-      MFGCP_BUILD_SIMD != 0,
+      MFGCP_BATCH_CLONES != 0,
   };
   return info;
 }

@@ -7,6 +7,19 @@
 // (obs/exporter.h) and stamped into BENCH_*.json context so
 // scripts/compare_bench.py can tell which build produced a baseline.
 
+// Whether the batched solver kernels carry runtime AVX2/AVX-512 clones
+// (MFGCP_BATCH_TARGET_CLONES, numerics/simd_support.h): GCC on x86-64 only
+// (target_clones + ifunc is a GCC/glibc mechanism), and never under
+// ThreadSanitizer — TSan binaries with the ifunc clones have been seen to
+// segfault at start-up, so a TSan tree builds the baseline loops.
+// numerics/simd_support.h and BuildInfo::simd_enabled both read this.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define MFGCP_BATCH_CLONES 1
+#else
+#define MFGCP_BATCH_CLONES 0
+#endif
+
 namespace mfg::common {
 
 struct BuildInfo {
@@ -15,7 +28,7 @@ struct BuildInfo {
   const char* build_type;    // CMAKE_BUILD_TYPE, or "unspecified".
   bool obs_enabled;          // MFGCP_OBS
   bool faults_enabled;       // MFGCP_FAULTS
-  bool simd_enabled;         // MFGCP_SIMD
+  bool simd_enabled;         // MFGCP_BATCH_CLONES: runtime ISA clones.
 };
 
 // Static storage; the pointers stay valid for the process lifetime.

@@ -12,8 +12,6 @@ double Clamp(double x, double lo, double hi) {
   return std::min(std::max(x, lo), hi);
 }
 
-double ClampUnit(double x) { return Clamp(x, 0.0, 1.0); }
-
 bool AlmostEqual(double a, double b, double atol, double rtol) {
   const double diff = std::fabs(a - b);
   const double scale = std::max(std::fabs(a), std::fabs(b));

@@ -1,6 +1,7 @@
 #ifndef MFGCP_COMMON_MATH_UTIL_H_
 #define MFGCP_COMMON_MATH_UTIL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -12,8 +13,9 @@ namespace mfg::common {
 // Clamps x into [lo, hi]. Requires lo <= hi.
 double Clamp(double x, double lo, double hi);
 
-// The paper's [x]^+ projection onto [0, 1] used in Theorem 1.
-double ClampUnit(double x);
+// The paper's [x]^+ projection onto [0, 1] used in Theorem 1. Inline so
+// the batched HJB substep loop stays call-free.
+inline double ClampUnit(double x) { return std::min(std::max(x, 0.0), 1.0); }
 
 // True if |a - b| <= atol + rtol * max(|a|, |b|).
 bool AlmostEqual(double a, double b, double atol = 1e-12, double rtol = 1e-9);

@@ -14,12 +14,7 @@
 #include "obs/obs.h"
 
 namespace mfg::core {
-namespace {
 
-// max_k |a[k] − b[k]| over two equally-sized flat fields; when `b` has a
-// different size (iteration 1: the previous value surface is empty) the
-// residual is taken against zero. Read-only telemetry — never feeds back
-// into the iteration.
 double MaxAbsDifference(const numerics::TimeField2D& a,
                         const numerics::TimeField2D& b) {
   const double* pa = a.data();
@@ -38,7 +33,93 @@ double MaxAbsDifference(const numerics::TimeField2D& a,
   return max_diff;
 }
 
-}  // namespace
+void ResetEquilibrium(Equilibrium& eq) {
+  eq.iterations = 0;
+  eq.converged = false;
+  eq.policy_change_history.clear();
+  eq.value_change_history.clear();
+  eq.hjb.value.clear();
+  eq.hjb.policy.clear();
+}
+
+common::Status EstimateMeanFieldInto(const MeanFieldEstimator& estimator,
+                                     const FpkSolution& fpk,
+                                     const numerics::TimeField2D& policy,
+                                     MeanFieldEstimator::Workspace& ws,
+                                     std::vector<MeanFieldQuantities>& out) {
+  out.resize(fpk.densities.size());
+  for (std::size_t n = 0; n < out.size(); ++n) {
+    MFG_RETURN_IF_ERROR(
+        estimator.EstimateInto(fpk.densities[n], policy[n], ws, out[n]));
+  }
+  return common::Status::Ok();
+}
+
+bool RelaxPolicy(const LearningParams& learning, std::size_t content_id,
+                 std::size_t iter, numerics::TimeField2D& policy,
+                 HjbSolution& hjb_buffer,
+                 std::vector<MeanFieldQuantities>& mean_field,
+                 Equilibrium& eq) {
+  double max_change = 0.0;
+  const double gamma = learning.relaxation;
+  double* p = policy.data();
+  const double* h = hjb_buffer.policy.data();
+  const std::size_t total = policy.size() * policy.cols();
+  for (std::size_t k = 0; k < total; ++k) {
+    const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
+    max_change = std::max(max_change, std::fabs(updated - p[k]));
+    p[k] = updated;
+  }
+  eq.policy_change_history.push_back(max_change);
+  // Value residual vs the previous iteration's surface (still held in
+  // eq.hjb until the swap below).
+  eq.value_change_history.push_back(
+      MaxAbsDifference(hjb_buffer.value, eq.hjb.value));
+  MFG_FLIGHT_EVENT(kIteration, 0, content_id,
+                   static_cast<std::uint32_t>(iter), max_change,
+                   eq.value_change_history.back());
+  std::swap(eq.hjb, hjb_buffer);
+  // Expose the *relaxed* policy (the population's actual play).
+  eq.hjb.policy = policy;
+  std::swap(eq.mean_field, mean_field);
+  if (max_change < learning.tolerance) eq.converged = true;
+  return eq.converged;
+}
+
+common::Status FinishSolve(const MeanFieldEstimator& estimator,
+                           const LearningParams& learning,
+                           std::size_t content_id,
+                           MeanFieldEstimator::Workspace& ws,
+                           Equilibrium& eq) {
+  MFG_OBS_OBSERVE_COUNTS("core.best_response.iterations",
+                         static_cast<double>(eq.iterations));
+  if (!eq.converged) {
+    MFG_OBS_COUNT("core.best_response.nonconverged", 1);
+    // At most one line per epoch per content; repeats only bump the
+    // counter above and the suppressed tally.
+    std::uint64_t suppressed = 0;
+    if (ShouldLogNonConvergence(content_id, suppressed)) {
+      MFG_LOG(WARNING) << "best response did not converge for content "
+                       << content_id << ": residual "
+                       << eq.policy_change_history.back() << " > tolerance "
+                       << learning.tolerance << " after " << eq.iterations
+                       << " iterations" << SuppressedSuffix(suppressed);
+    } else {
+      MFG_OBS_COUNT("core.best_response.nonconvergence_suppressed", 1);
+    }
+  } else {
+    MFG_OBS_COUNT("core.best_response.converged", 1);
+  }
+  MFG_FLIGHT_EVENT(
+      kSolveEnd, eq.converged ? std::uint8_t{1} : std::uint8_t{0},
+      content_id, static_cast<std::uint32_t>(eq.iterations),
+      eq.policy_change_history.empty() ? 0.0
+                                       : eq.policy_change_history.back(),
+      eq.value_change_history.empty() ? 0.0
+                                      : eq.value_change_history.back());
+  return EstimateMeanFieldInto(estimator, eq.fpk, eq.hjb.policy, ws,
+                               eq.mean_field);
+}
 
 common::StatusOr<BestResponseLearner> BestResponseLearner::Create(
     const MfgParams& params) {
@@ -96,18 +177,8 @@ common::Status BestResponseLearner::SolveFromInto(
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nq = params_.grid.num_q_nodes;
 
-  // Reset a (possibly reused) output to the fresh-Equilibrium state while
-  // keeping every buffer's capacity. Clearing the value surface matters
-  // for bit-identity: iteration 1's value residual must measure against
-  // the zero initialization, not a previous solve's surface.
   Equilibrium& eq = out;
-  eq.iterations = 0;
-  eq.converged = false;
-  eq.policy_change_history.clear();
-  eq.value_change_history.clear();
-  eq.hjb.value.clear();
-  eq.hjb.policy.clear();
-
+  ResetEquilibrium(eq);
   ws.policy.Assign(nt + 1, nq, initial_rate);
   numerics::TimeField2D& policy = ws.policy;
 
@@ -120,53 +191,25 @@ common::Status BestResponseLearner::SolveFromInto(
   eq.policy_change_history.reserve(params_.learning.max_iterations);
   eq.value_change_history.reserve(params_.learning.max_iterations);
 
-  // Double-buffered per-iteration products: swapped with the copies held in
-  // `eq`, so iteration ψ+1 writes into iteration ψ−1's storage and the loop
-  // is allocation-free once both buffers have warmed up.
-  HjbSolution& hjb_buf = ws.hjb_buffer;
-  std::vector<MeanFieldQuantities>& mean_field = ws.mean_field;
-
+  // ws.hjb_buffer and ws.mean_field double-buffer the per-iteration
+  // products: RelaxPolicy swaps them with the copies held in `eq`, so
+  // iteration ψ+1 writes into iteration ψ−1's storage and the loop is
+  // allocation-free once both buffers have warmed up.
   for (std::size_t iter = 1; iter <= params_.learning.max_iterations;
        ++iter) {
     eq.iterations = iter;
 
     // (1) Mean-field quantities per time node from (λ, x).
-    mean_field.resize(nt + 1);
-    for (std::size_t n = 0; n <= nt; ++n) {
-      MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-          eq.fpk.densities[n], policy[n], ws.estimator, mean_field[n]));
-    }
+    MFG_RETURN_IF_ERROR(EstimateMeanFieldInto(estimator_, eq.fpk, policy,
+                                              ws.estimator, ws.mean_field));
 
     // (2) Backward HJB -> candidate best response.
     MFG_FAULT_POINT(kHjbStep);
-    MFG_RETURN_IF_ERROR(hjb_.SolveInto(mean_field, ws.hjb, hjb_buf));
+    MFG_RETURN_IF_ERROR(hjb_.SolveInto(ws.mean_field, ws.hjb, ws.hjb_buffer));
 
     // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
-    double max_change = 0.0;
-    const double gamma = params_.learning.relaxation;
-    double* p = policy.data();
-    const double* h = hjb_buf.policy.data();
-    const std::size_t total = (nt + 1) * nq;
-    for (std::size_t k = 0; k < total; ++k) {
-      const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-      max_change = std::max(max_change, std::fabs(updated - p[k]));
-      p[k] = updated;
-    }
-    eq.policy_change_history.push_back(max_change);
-    // Value residual vs the previous iteration's surface (still held in
-    // eq.hjb until the swap below).
-    eq.value_change_history.push_back(
-        MaxAbsDifference(hjb_buf.value, eq.hjb.value));
-    MFG_FLIGHT_EVENT(kIteration, 0, params_.content_id,
-                     static_cast<std::uint32_t>(iter), max_change,
-                     eq.value_change_history.back());
-    std::swap(eq.hjb, hjb_buf);
-    // Expose the *relaxed* policy (the population's actual play).
-    eq.hjb.policy = policy;
-    std::swap(eq.mean_field, mean_field);
-
-    if (max_change < params_.learning.tolerance) {
-      eq.converged = true;
+    if (RelaxPolicy(params_.learning, params_.content_id, iter, policy,
+                    ws.hjb_buffer, ws.mean_field, eq)) {
       break;
     }
 
@@ -175,41 +218,8 @@ common::Status BestResponseLearner::SolveFromInto(
   }
 
   if (MFG_FAULT_FORCED(kNonConvergence)) eq.converged = false;
-  MFG_OBS_OBSERVE_COUNTS("core.best_response.iterations",
-                         static_cast<double>(eq.iterations));
-  if (!eq.converged) {
-    MFG_OBS_COUNT("core.best_response.nonconverged", 1);
-    // At most one line per epoch per content; repeats only bump the
-    // counter above and the suppressed tally.
-    std::uint64_t suppressed = 0;
-    if (ShouldLogNonConvergence(params_.content_id, suppressed)) {
-      MFG_LOG(WARNING) << "best response did not converge for content "
-                       << params_.content_id << ": residual "
-                       << eq.policy_change_history.back() << " > tolerance "
-                       << params_.learning.tolerance << " after "
-                       << eq.iterations << " iterations"
-                       << SuppressedSuffix(suppressed);
-    } else {
-      MFG_OBS_COUNT("core.best_response.nonconvergence_suppressed", 1);
-    }
-  } else {
-    MFG_OBS_COUNT("core.best_response.converged", 1);
-  }
-  MFG_FLIGHT_EVENT(
-      kSolveEnd, eq.converged ? std::uint8_t{1} : std::uint8_t{0},
-      params_.content_id, static_cast<std::uint32_t>(eq.iterations),
-      eq.policy_change_history.empty() ? 0.0
-                                       : eq.policy_change_history.back(),
-      eq.value_change_history.empty() ? 0.0
-                                      : eq.value_change_history.back());
-  // Refresh the mean-field quantities for the final policy/density pair so
-  // callers see a consistent triple (x, λ, mf).
-  for (std::size_t n = 0; n <= nt; ++n) {
-    MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-        eq.fpk.densities[n], eq.hjb.policy[n], ws.estimator,
-        eq.mean_field[n]));
-  }
-  return common::Status::Ok();
+  return FinishSolve(estimator_, params_.learning, params_.content_id,
+                     ws.estimator, eq);
 }
 
 common::StatusOr<EquilibriumRollout> RolloutEquilibrium(

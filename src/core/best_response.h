@@ -43,6 +43,54 @@ struct Equilibrium {
   std::vector<double> value_change_history;
 };
 
+// max_k |a[k] − b[k]| over two equally-sized flat fields; when `b` has a
+// different size (iteration 1: the previous value surface is empty) the
+// residual is taken against zero. Read-only telemetry — never feeds back
+// into the iteration. Shared by the 1-D, batched and 2-D learners.
+double MaxAbsDifference(const numerics::TimeField2D& a,
+                        const numerics::TimeField2D& b);
+
+// Per-content steps of Alg. 2 that BestResponseLearner::SolveFromInto and
+// BatchBestResponseLearner::SolveInto (lane by lane) both run, so the two
+// learners share one copy of the bookkeeping. Fault polls stay with the
+// callers: the scalar learner polls under the worker's ambient scope, the
+// batch learner under a per-lane scope.
+
+// Resets a (possibly reused) `eq` to the fresh-Equilibrium state while
+// keeping every buffer's capacity. Clearing the value surface matters for
+// bit-identity: iteration 1's value residual must measure against the
+// zero initialization, not a previous solve's surface.
+void ResetEquilibrium(Equilibrium& eq);
+
+// Mean-field quantities per time node from (λ = fpk.densities, x =
+// policy); `out` is resized to one entry per density.
+common::Status EstimateMeanFieldInto(const MeanFieldEstimator& estimator,
+                                     const FpkSolution& fpk,
+                                     const numerics::TimeField2D& policy,
+                                     MeanFieldEstimator::Workspace& ws,
+                                     std::vector<MeanFieldQuantities>& out);
+
+// Step 3 of iteration `iter`: relaxes `policy` toward hjb_buffer.policy,
+// appends the policy and value residuals, records the kIteration flight
+// event, then swaps the iteration's HJB solution and mean field into `eq`
+// (exposing the relaxed policy as eq.hjb.policy). Returns true, and sets
+// eq.converged, when the policy change fell below the tolerance.
+bool RelaxPolicy(const LearningParams& learning, std::size_t content_id,
+                 std::size_t iter, numerics::TimeField2D& policy,
+                 HjbSolution& hjb_buffer,
+                 std::vector<MeanFieldQuantities>& mean_field,
+                 Equilibrium& eq);
+
+// The post-loop epilogue: iterations histogram, converged/nonconverged
+// counters, the rate-limited non-convergence WARN, the kSolveEnd flight
+// event, and a mean-field refresh for the final (policy, density) pair so
+// callers see a consistent triple (x, λ, mf).
+common::Status FinishSolve(const MeanFieldEstimator& estimator,
+                           const LearningParams& learning,
+                           std::size_t content_id,
+                           MeanFieldEstimator::Workspace& ws,
+                           Equilibrium& eq);
+
 class BestResponseLearner {
  public:
   // Long-lived scratch for SolveInto: the initial density, the relaxed

@@ -5,34 +5,13 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/best_response.h"
 #include "core/nonconvergence_log.h"
 #include "numerics/density.h"
 #include "numerics/field2d.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
-namespace {
-
-// Telemetry-only value residual; see the 1-D learner's MaxAbsDifference.
-double MaxAbsDifference(const numerics::TimeField2D& a,
-                        const numerics::TimeField2D& b) {
-  const double* pa = a.data();
-  const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
-  if (b.size() * b.cols() == total) {
-    const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
-  }
-  return max_diff;
-}
-
-}  // namespace
 
 common::StatusOr<BestResponseLearner2D> BestResponseLearner2D::Create(
     const MfgParams& params) {

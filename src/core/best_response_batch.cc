@@ -1,37 +1,12 @@
 #include "core/best_response_batch.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/logging.h"
 #include "core/fault_injection.h"
-#include "core/nonconvergence_log.h"
-#include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
 namespace {
-
-// Copy of the scalar learner's residual helper (best_response.cc): max_k
-// |a[k] − b[k]|, against zero when `b` has a different size (iteration 1).
-double MaxAbsDifference(const numerics::TimeField2D& a,
-                        const numerics::TimeField2D& b) {
-  const double* pa = a.data();
-  const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
-  if (b.size() * b.cols() == total) {
-    const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
-  }
-  return max_diff;
-}
 
 // Per-lane fault polls. The scalar solve relies on the worker's ambient
 // (epoch, content, attempt) scope; the batch solve opens a lane-local
@@ -70,9 +45,7 @@ void BatchBestResponseLearner::Reset(std::size_t num_lanes) {
   hjb_.Reset(num_lanes);
   fpk_.Reset(num_lanes);
   estimators_.resize(num_lanes);
-  gamma_.resize(num_lanes);
-  tolerance_.resize(num_lanes);
-  max_iterations_.resize(num_lanes);
+  learning_.resize(num_lanes);
   content_id_.resize(num_lanes);
 }
 
@@ -97,9 +70,7 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
     nt_ = params.grid.num_time_steps;
   }
   ++bound_lanes_;
-  gamma_[lane] = params.learning.relaxation;
-  tolerance_[lane] = params.learning.tolerance;
-  max_iterations_[lane] = params.learning.max_iterations;
+  learning_[lane] = params.learning;
   content_id_[lane] = params.content_id;
   return common::Status::Ok();
 }
@@ -131,17 +102,8 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     if (!job.status.ok()) continue;
     MFG_OBS_COUNT("core.best_response.solves", 1);
 
-    // Reset a (possibly reused) output to the fresh-Equilibrium state
-    // while keeping every buffer's capacity; clearing the value surface
-    // matters for bit-identity (iteration 1's value residual measures
-    // against the zero initialization).
     Equilibrium& eq = *job.out;
-    eq.iterations = 0;
-    eq.converged = false;
-    eq.policy_change_history.clear();
-    eq.value_change_history.clear();
-    eq.hjb.value.clear();
-    eq.hjb.policy.clear();
+    ResetEquilibrium(eq);
     lane.policy.Assign(nt + 1, nq, 0.5);
 
     // λ trajectory under the initial guess; the scalar path polls
@@ -168,8 +130,8 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     Equilibrium& eq = *lanes[l].out;
     eq.hjb.q_grid = eq.fpk.q_grid;
     eq.hjb.dt = eq.fpk.dt;
-    eq.policy_change_history.reserve(max_iterations_[l]);
-    eq.value_change_history.reserve(max_iterations_[l]);
+    eq.policy_change_history.reserve(learning_[l].max_iterations);
+    eq.value_change_history.reserve(learning_[l].max_iterations);
   }
 
   // Lockstep fixed-point loop. Each round runs one scalar iteration for
@@ -182,7 +144,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       ws.hjb_io[l].active = false;
       ws.fpk_io[l].active = false;
       if (!ws.running[l]) continue;
-      if (iter > max_iterations_[l]) {
+      if (iter > learning_[l].max_iterations) {
         ws.running[l] = 0;
         continue;
       }
@@ -192,23 +154,12 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       eq.iterations = iter;
 
       // (1) Mean-field quantities per time node from (λ, x).
-      lane.mean_field.resize(nt + 1);
-      bool failed = false;
-      for (std::size_t n = 0; n <= nt; ++n) {
-        const common::Status estimate = estimators_[l]->EstimateInto(
-            eq.fpk.densities[n], lane.policy[n], lane.estimator,
-            lane.mean_field[n]);
-        if (!estimate.ok()) {
-          job.status = estimate;
-          ws.running[l] = 0;
-          failed = true;
-          break;
-        }
-      }
-      if (failed) continue;
-
+      job.status = EstimateMeanFieldInto(*estimators_[l], eq.fpk, lane.policy,
+                                         lane.estimator, lane.mean_field);
       // (2) Backward HJB -> candidate best response.
-      job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
+      if (job.status.ok()) {
+        job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
+      }
       if (!job.status.ok()) {
         ws.running[l] = 0;
         continue;
@@ -232,28 +183,8 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       Equilibrium& eq = *job.out;
 
       // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
-      double max_change = 0.0;
-      const double gamma = gamma_[l];
-      double* p = lane.policy.data();
-      const double* h = lane.hjb_buffer.policy.data();
-      const std::size_t total = (nt + 1) * nq;
-      for (std::size_t k = 0; k < total; ++k) {
-        const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-        max_change = std::max(max_change, std::fabs(updated - p[k]));
-        p[k] = updated;
-      }
-      eq.policy_change_history.push_back(max_change);
-      eq.value_change_history.push_back(
-          MaxAbsDifference(lane.hjb_buffer.value, eq.hjb.value));
-      MFG_FLIGHT_EVENT(kIteration, 0, content_id_[l],
-                       static_cast<std::uint32_t>(iter), max_change,
-                       eq.value_change_history.back());
-      std::swap(eq.hjb, lane.hjb_buffer);
-      eq.hjb.policy = lane.policy;
-      std::swap(eq.mean_field, lane.mean_field);
-
-      if (max_change < tolerance_[l]) {
-        eq.converged = true;
+      if (RelaxPolicy(learning_[l], content_id_[l], eq.iterations,
+                      lane.policy, lane.hjb_buffer, lane.mean_field, eq)) {
         ws.running[l] = 0;  // Scalar `break`: skips the FPK sweep.
         continue;
       }
@@ -272,52 +203,16 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     }
   }
 
-  // Post-loop bookkeeping per surviving lane, verbatim from the scalar
-  // SolveFromInto epilogue.
+  // Post-loop bookkeeping per surviving lane: the scalar epilogue.
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
     if (!job.active || !job.status.ok()) continue;
-    LaneScratch& lane = ws.lanes[l];
     Equilibrium& eq = *job.out;
     if (LaneFaultFires(job, faults::FaultSite::kNonConvergence)) {
       eq.converged = false;
     }
-    MFG_OBS_OBSERVE_COUNTS("core.best_response.iterations",
-                           static_cast<double>(eq.iterations));
-    if (!eq.converged) {
-      MFG_OBS_COUNT("core.best_response.nonconverged", 1);
-      std::uint64_t suppressed = 0;
-      if (ShouldLogNonConvergence(content_id_[l], suppressed)) {
-        MFG_LOG(WARNING) << "best response did not converge for content "
-                         << content_id_[l] << ": residual "
-                         << eq.policy_change_history.back()
-                         << " > tolerance " << tolerance_[l] << " after "
-                         << eq.iterations << " iterations"
-                         << SuppressedSuffix(suppressed);
-      } else {
-        MFG_OBS_COUNT("core.best_response.nonconvergence_suppressed", 1);
-      }
-    } else {
-      MFG_OBS_COUNT("core.best_response.converged", 1);
-    }
-    MFG_FLIGHT_EVENT(
-        kSolveEnd, eq.converged ? std::uint8_t{1} : std::uint8_t{0},
-        content_id_[l], static_cast<std::uint32_t>(eq.iterations),
-        eq.policy_change_history.empty() ? 0.0
-                                         : eq.policy_change_history.back(),
-        eq.value_change_history.empty() ? 0.0
-                                        : eq.value_change_history.back());
-    // Refresh the mean-field quantities for the final policy/density pair
-    // so callers see a consistent triple (x, λ, mf).
-    for (std::size_t n = 0; n <= nt; ++n) {
-      const common::Status refresh = estimators_[l]->EstimateInto(
-          eq.fpk.densities[n], eq.hjb.policy[n], lane.estimator,
-          eq.mean_field[n]);
-      if (!refresh.ok()) {
-        job.status = refresh;
-        break;
-      }
-    }
+    job.status = FinishSolve(*estimators_[l], learning_[l], content_id_[l],
+                             ws.lanes[l].estimator, eq);
   }
 }
 

@@ -21,11 +21,13 @@
 // goldens): lane l performs the exact per-iteration sequence of
 // BestResponseLearner::SolveInto on lane-l data — estimate, HJB, relaxed
 // update, residual bookkeeping, FPK — with no cross-lane arithmetic, so
-// its Equilibrium is bitwise equal to the scalar learner's. Lanes may
-// converge at different iterations; a converged lane simply drops out of
-// the lockstep loop (and, exactly like the scalar `break`, skips the
-// final FPK), while a lane that exhausts max_iterations unconverged still
-// runs the trailing FPK sweep of its last loop body.
+// its Equilibrium is bitwise equal to the scalar learner's; the reset,
+// mean-field estimate, relaxed update and epilogue are the scalar
+// learner's own helpers (best_response.h). Lanes may converge at
+// different iterations; a converged lane simply drops out of the lockstep
+// loop (and, exactly like the scalar `break`, skips the final FPK), while
+// a lane that exhausts max_iterations unconverged still runs the trailing
+// FPK sweep of its last loop body.
 //
 // Failure routing: a lane that fails (divergence, injected fault, ...)
 // records the scalar learner's error in its LaneJob::status and stops
@@ -108,10 +110,8 @@ class BatchBestResponseLearner {
   // engaged lanes are Rebind()-ed in place on later epochs.
   std::vector<std::optional<MeanFieldEstimator>> estimators_;
 
-  // Per-lane learning controls (LearningParams of the bound params).
-  std::vector<double> gamma_;
-  std::vector<double> tolerance_;
-  std::vector<std::size_t> max_iterations_;
+  // Per-lane learning controls and content ids of the bound params.
+  std::vector<LearningParams> learning_;
   std::vector<std::size_t> content_id_;
 };
 

@@ -38,14 +38,7 @@ common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
     }
   }
 
-  const double dt_out = params.TimeStep();
-  const double diffusion = 0.5 * params.dynamics.rho_q * params.dynamics.rho_q;
-  const double max_speed = params.MaxAbsDriftSpeed();
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid.dx(), max_speed, diffusion, params.grid.cfl_safety);
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_out / stable_dt)));
-  const double dt_sub = dt_out / static_cast<double>(substeps);
+  const CflSubsteps steps = params.CflSubstepsFor(q_grid.dx());
 
   std::vector<std::vector<double>> value(nt + 1,
                                          std::vector<double>(nq, 0.0));
@@ -57,7 +50,7 @@ common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
       drift[i] = params.CacheDriftAtNode(policy[n][i], q_grid.x(i), n);
       upwind_velocity[i] = -drift[i];  // Backward-time transport velocity.
     }
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
+    for (std::size_t sub = 0; sub < steps.count; ++sub) {
       MFG_ASSIGN_OR_RETURN(
           std::vector<double> dv_upwind,
           numerics::UpwindGradient(q_grid, v, upwind_velocity));
@@ -67,8 +60,8 @@ common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
         MFG_ASSIGN_OR_RETURN(
             double utility,
             hjb.RunningUtilityAtNode(policy[n][i], q_grid.x(i), mf, n));
-        v[i] += dt_sub * (drift[i] * dv_upwind[i] + diffusion * d2v[i] +
-                          utility);
+        v[i] += steps.dt_sub * (drift[i] * dv_upwind[i] +
+                                steps.diffusion * d2v[i] + utility);
       }
       if (!common::AllFinite(v)) {
         return common::Status::NumericalError(

@@ -1,7 +1,6 @@
 #include "core/fpk_batch.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "numerics/finite_difference.h"
@@ -11,14 +10,6 @@
 
 namespace mfg::core {
 namespace {
-
-bool LaneAllFinite(const numerics::BatchField& field, std::size_t lane) {
-  const std::size_t n = field.nodes();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(field.at(i, lane))) return false;
-  }
-  return true;
-}
 
 // Hot lane loops as pointer-only free functions, for the same reason as in
 // hjb_batch.cc: member-vector reads mixed with double stores defeat the
@@ -63,29 +54,6 @@ void ApplyFluxUpdate(std::size_t nq, std::size_t m, const double* flux,
   }
 }
 
-// Implicit (backward Euler) band assembly, per-lane transcription of the
-// scalar implicit_step lambda. diag/upper of face-1 and diag/lower of face
-// accumulate one face's contribution each pass.
-MFGCP_BATCH_TARGET_CLONES
-void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
-                            const double* d_over_dx, const double* c,
-                            double* __restrict lo, double* __restrict di,
-                            double* __restrict up) {
-  for (std::size_t face = 1; face < nq; ++face) {
-    const std::size_t row = face * m;
-    const std::size_t prev = (face - 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double v_face = 0.5 * (vel[prev + l] + vel[row + l]);
-      const double v_plus = std::max(v_face, 0.0);
-      const double v_minus = std::min(v_face, 0.0);
-      di[prev + l] += c[l] * (v_plus + d_over_dx[l]);
-      up[prev + l] += c[l] * (v_minus - d_over_dx[l]);
-      di[row + l] += -c[l] * (v_minus - d_over_dx[l]);
-      lo[row + l] += -c[l] * (v_plus + d_over_dx[l]);
-    }
-  }
-}
-
 }  // namespace
 
 void FpkBatchSolver::Reset(std::size_t num_lanes) {
@@ -95,13 +63,9 @@ void FpkBatchSolver::Reset(std::size_t num_lanes) {
   grids_.resize(num_lanes);
   content_size_.resize(num_lanes);
   dx_.resize(num_lanes);
-  dt_out_.resize(num_lanes);
-  dt_sub_.resize(num_lanes);
-  diffusion_.resize(num_lanes);
   substeps_.resize(num_lanes);
   d_over_dx_.resize(num_lanes);
   dt_sub_over_dx_.resize(num_lanes);
-  dt_out_over_dx_.resize(num_lanes);
 }
 
 common::Status FpkBatchSolver::BindLane(std::size_t lane,
@@ -110,20 +74,21 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
     return common::Status::InvalidArgument("lane out of range");
   }
   MFG_RETURN_IF_ERROR(params.Validate());
+  if (params.grid.implicit_fpk) {
+    return common::Status::InvalidArgument(
+        "the batched FPK solver steps explicitly; implicit_fpk contents "
+        "solve on FpkSolver1D");
+  }
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
   const std::size_t nq = q_grid.size();
   const std::size_t nt = params.grid.num_time_steps;
   if (bound_lanes_ == 0) {
     nq_ = nq;
     nt_ = nt;
-    implicit_ = params.grid.implicit_fpk;
     neg_w1_avail_.Assign(nq, num_lanes_, 0.0);
   } else if (nq != nq_ || nt != nt_) {
     return common::Status::InvalidArgument(
         "batch lanes must share the grid shape");
-  } else if (params.grid.implicit_fpk != implicit_) {
-    return common::Status::InvalidArgument(
-        "batch lanes must share the FPK stepping scheme");
   }
   ++bound_lanes_;
 
@@ -135,30 +100,17 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
   }
   content_size_[lane] = params.content_size;
   dx_[lane] = q_grid.dx();
-  dt_out_[lane] = params.TimeStep();
-  const double diffusion =
-      0.5 * params.dynamics.rho_q * params.dynamics.rho_q;
-  diffusion_[lane] = diffusion;
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid.dx(), params.MaxAbsDriftSpeed(), diffusion,
-      params.grid.cfl_safety);
-  substeps_[lane] = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_out_[lane] / stable_dt)));
-  dt_sub_[lane] =
-      dt_out_[lane] / static_cast<double>(substeps_[lane]);
+  const CflSubsteps steps = params.CflSubstepsFor(q_grid.dx());
+  substeps_[lane] = steps.count;
   // The scalar solver's once-per-solve reciprocal hoists, per lane.
-  d_over_dx_[lane] = diffusion / dx_[lane];
-  dt_sub_over_dx_[lane] = dt_sub_[lane] / dx_[lane];
-  dt_out_over_dx_[lane] = dt_out_[lane] / dx_[lane];
+  d_over_dx_[lane] = steps.diffusion / dx_[lane];
+  dt_sub_over_dx_[lane] = steps.dt_sub / dx_[lane];
   return common::Status::Ok();
 }
 
 common::Status FpkBatchSolver::MakeInitialDensityInto(
     std::size_t lane, numerics::Density1D& out) const {
-  const MfgParams& params = params_[lane];
-  return numerics::Density1D::TruncatedGaussianInto(
-      grids_[lane], params.init_mean_frac * params.content_size,
-      params.init_std_frac * params.content_size, out);
+  return core::MakeInitialDensityInto(params_[lane], grids_[lane], out);
 }
 
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
@@ -181,37 +133,9 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     MFG_OBS_COUNT("core.fpk.sweeps", 1);
-    lane.status = common::Status::Ok();
-    // Per-lane validation, verbatim from the scalar SolveInto.
-    if (!(lane.initial->grid() == grids_[l])) {
-      lane.status = common::Status::InvalidArgument(
-          "initial density grid does not match the solver grid");
-      continue;
-    }
-    if (lane.policy->size() != nt + 1) {
-      lane.status = common::Status::InvalidArgument(
-          "policy must have num_time_steps + 1 slices");
-      continue;
-    }
-    if (lane.policy->cols() != nq) {
-      lane.status =
-          common::Status::InvalidArgument("policy slice size mismatch");
-      continue;
-    }
-    FpkSolution& solution = *lane.solution;
-    solution.q_grid = grids_[l];
-    solution.dt = dt_out_[l];
-    const bool reuse = solution.densities.size() == nt + 1 &&
-                       solution.densities.front().grid() == grids_[l];
-    if (!reuse) {
-      solution.densities.clear();
-      solution.densities.reserve(nt + 1);
-      for (std::size_t n = 0; n <= nt; ++n) {
-        solution.densities.push_back(*lane.initial);
-      }
-    } else {
-      solution.densities.front().mutable_values() = lane.initial->values();
-    }
+    lane.status = BeginFpkSolve(params_[l], grids_[l], *lane.initial,
+                                *lane.policy, *lane.solution);
+    if (!lane.status.ok()) continue;
     alive[l] = 1;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
@@ -231,83 +155,42 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   const double* nwd = neg_w1_avail_.data();
   const double* d_dx = d_over_dx_.data();
   const double* dts_dx = dt_sub_over_dx_.data();
-  const double* dto_dx = dt_out_over_dx_.data();
 
   for (std::size_t n = 0; n < nt; ++n) {
     // Drift under the node-n policy slice, gathered per lane from its
     // (row-major, per-content) policy field.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
-      const MfgParams& params = params_[l];
-      const double retention =
-          params.dynamics.w2 * params.PopularityAt(n);
-      const double discard =
-          params.dynamics.w3 *
-          std::pow(params.dynamics.xi, params.TimelinessAt(n));
+      const NodeDriftTerms terms = params_[l].DriftTermsAt(n);
       const auto policy_row = (*lanes[l].policy)[n];
       for (std::size_t i = 0; i < nq; ++i) {
-        vel[i * m + l] =
-            content_size_[l] *
-            (nwd[i * m + l] * policy_row[i] - retention + discard);
+        vel[i * m + l] = content_size_[l] * (nwd[i * m + l] * policy_row[i] -
+                                             terms.retention + terms.discard);
       }
     }
 
-    if (implicit_) {
-      // Implicit (backward Euler) assembly, per-lane transcription of the
-      // scalar implicit_step lambda.
-      ws.system.lower.Assign(nq, m, 0.0);
-      ws.system.diag.Assign(nq, m, 1.0);
-      ws.system.upper.Assign(nq, m, 0.0);
-      ws.system.rhs.Assign(nq, m, 0.0);
-      double* rh = ws.system.rhs.data();
-      for (std::size_t k = 0; k < nq * m; ++k) rh[k] = lam[k];
-      AssembleImplicitSystem(nq, m, vel, d_dx, dto_dx,
-                             ws.system.lower.data(), ws.system.diag.data(),
-                             ws.system.upper.data());
-      ws.singular_row.assign(m, -1);
-      numerics::SolveTridiagonalBatchInto(ws.system, ws.tridiagonal,
-                                          ws.lambda, ws.singular_row);
-      lam = ws.lambda.data();  // Assign may have (first call) reallocated.
+    for (std::size_t sub = 0; sub < max_substeps; ++sub) {
       for (std::size_t l = 0; l < m; ++l) {
-        if (!alive[l]) continue;
-        if (ws.singular_row[l] >= 0) {
-          lanes[l].status = common::Status::NumericalError(
-              "singular pivot at row " +
-              std::to_string(ws.singular_row[l]));
-          alive[l] = 0;
-        } else if (!LaneAllFinite(ws.lambda, l)) {
-          MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
-                           params_[l].content_id,
-                           static_cast<std::uint32_t>(n), 0.0, 0.0);
-          lanes[l].status = common::Status::NumericalError(
-              "implicit FPK diverged at time node " + std::to_string(n));
-          alive[l] = 0;
-        }
+        update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
       }
-    } else {
-      for (std::size_t sub = 0; sub < max_substeps; ++sub) {
-        for (std::size_t l = 0; l < m; ++l) {
-          update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
-        }
-        // Finite-volume face fluxes: advective donor-cell + central
-        // diffusive; boundary faces stay zero -> reflecting.
-        for (std::size_t l = 0; l < m; ++l) {
-          flux[l] = 0.0;
-          flux[nq * m + l] = 0.0;
-        }
-        ComputeFaceFluxes(nq, m, vel, lam, d_dx, flux);
-        ApplyFluxUpdate(nq, m, flux, dts_dx, update.data(), lam);
-        std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-        numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
-        for (std::size_t l = 0; l < m; ++l) {
-          if (update[l] == 0.0 || ws.bad[l] == 0.0) continue;
-          MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
-                           params_[l].content_id,
-                           static_cast<std::uint32_t>(n), 0.0, 0.0);
-          lanes[l].status = common::Status::NumericalError(
-              "FPK density diverged at time node " + std::to_string(n));
-          alive[l] = 0;
-        }
+      // Finite-volume face fluxes: advective donor-cell + central
+      // diffusive; boundary faces stay zero -> reflecting.
+      for (std::size_t l = 0; l < m; ++l) {
+        flux[l] = 0.0;
+        flux[nq * m + l] = 0.0;
+      }
+      ComputeFaceFluxes(nq, m, vel, lam, d_dx, flux);
+      ApplyFluxUpdate(nq, m, flux, dts_dx, update.data(), lam);
+      std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
+      numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
+      for (std::size_t l = 0; l < m; ++l) {
+        if (update[l] == 0.0 || ws.bad[l] == 0.0) continue;
+        MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
+                         params_[l].content_id,
+                         static_cast<std::uint32_t>(n), 0.0, 0.0);
+        lanes[l].status = common::Status::NumericalError(
+            "FPK density diverged at time node " + std::to_string(n));
+        alive[l] = 0;
       }
     }
 

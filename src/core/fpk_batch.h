@@ -12,21 +12,23 @@
 #include "numerics/density.h"
 #include "numerics/grid.h"
 #include "numerics/time_field.h"
-#include "numerics/tridiagonal.h"
 
-// Content-batched counterpart of FpkSolver1D (see hjb_batch.h for the
-// batching model). Lane l runs the scalar forward sweep expression tree on
-// its own density/policy, so active lanes reproduce FpkSolver1D::SolveInto
-// bit-for-bit. The ClipAndNormalize guard runs lane-parallel in SoA layout
-// (numerics::ClipAndNormalizeBatchInto, the scalar accumulation order per
-// lane); each output node then scatters the normalized row into the lane's
-// Density1D — λ stays in the batch layout end-to-end, with no per-node
-// gather-back.
+// Content-batched counterpart of FpkSolver1D's explicit scheme (see
+// hjb_batch.h for the batching model). Lane l runs the scalar forward
+// sweep expression tree on its own density/policy, so active lanes
+// reproduce FpkSolver1D::SolveInto bit-for-bit; validation and output
+// shaping (BeginFpkSolve), the initial density (MakeInitialDensityInto),
+// the CFL substeps and the per-node drift terms are the scalar solver's
+// own functions. The ClipAndNormalize guard runs lane-parallel in SoA
+// layout (numerics::ClipAndNormalizeBatchInto, the scalar accumulation
+// order per lane); each output node then scatters the normalized row into
+// the lane's Density1D — λ stays in the batch layout end-to-end, with no
+// per-node gather-back.
 //
-// Both stepping schemes are supported; all bound lanes must share
-// grid.implicit_fpk (they derive from one base_params on the epoch path).
-// A lane that diverges or hits a singular implicit pivot records the
-// scalar solver's error in its LaneIo::status and drops out of the batch.
+// Only explicit stepping is batched: BindLane rejects a grid.implicit_fpk
+// lane, and the epoch path solves implicit-FPK contents on the scalar
+// block body. A lane that diverges records the scalar solver's error in
+// its LaneIo::status and drops out of the batch.
 
 namespace mfg::core {
 
@@ -36,9 +38,6 @@ class FpkBatchSolver {
     numerics::BatchField lambda;
     numerics::BatchField velocity;
     numerics::BatchField face_flux;  // nq + 1 nodes.
-    numerics::BatchTridiagonalSystem system;  // Implicit stepping only.
-    numerics::BatchTridiagonalWorkspace tridiagonal;
-    std::vector<std::ptrdiff_t> singular_row;
     std::vector<std::uint8_t> alive;
     // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
     // update select and the divergence accumulator vectorize only when the
@@ -60,13 +59,15 @@ class FpkBatchSolver {
 
   FpkBatchSolver() = default;
 
-  // See HjbBatchSolver::Reset/BindLane; identical contract.
+  // See HjbBatchSolver::Reset/BindLane; identical contract, except that a
+  // grid.implicit_fpk lane is rejected with InvalidArgument.
   void Reset(std::size_t num_lanes);
   common::Status BindLane(std::size_t lane, const MfgParams& params);
 
   std::size_t num_lanes() const { return num_lanes_; }
 
-  // Makes lane `lane`'s initial density (scalar TruncatedGaussianInto).
+  // Makes lane `lane`'s initial density (the scalar
+  // MakeInitialDensityInto).
   common::Status MakeInitialDensityInto(std::size_t lane,
                                         numerics::Density1D& out) const;
 
@@ -77,7 +78,6 @@ class FpkBatchSolver {
   std::size_t bound_lanes_ = 0;
   std::size_t nq_ = 0;
   std::size_t nt_ = 0;
-  bool implicit_ = false;
 
   std::vector<MfgParams> params_;
   std::vector<numerics::Grid1D> grids_;
@@ -86,16 +86,12 @@ class FpkBatchSolver {
 
   std::vector<double> content_size_;
   std::vector<double> dx_;
-  std::vector<double> dt_out_;
-  std::vector<double> dt_sub_;
-  std::vector<double> diffusion_;
   std::vector<std::size_t> substeps_;
   // Per-lane reciprocals of the per-element divisors, the same expressions
   // the scalar FpkSolver1D::SolveInto hoists once per solve (bit-identity;
   // the substep loop is division-throughput-bound otherwise).
   std::vector<double> d_over_dx_;       // diffusion / dx.
   std::vector<double> dt_sub_over_dx_;  // dt_sub / dx.
-  std::vector<double> dt_out_over_dx_;  // dt_out / dx (implicit assembly).
 };
 
 }  // namespace mfg::core

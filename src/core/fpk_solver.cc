@@ -1,15 +1,54 @@
 #include "core/fpk_solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "common/math_util.h"
-#include "numerics/finite_difference.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
+
+common::Status BeginFpkSolve(const MfgParams& params,
+                             const numerics::Grid1D& q_grid,
+                             const numerics::Density1D& initial,
+                             const numerics::TimeField2D& policy,
+                             FpkSolution& solution) {
+  const std::size_t nt = params.grid.num_time_steps;
+  if (!(initial.grid() == q_grid)) {
+    return common::Status::InvalidArgument(
+        "initial density grid does not match the solver grid");
+  }
+  if (policy.size() != nt + 1) {
+    return common::Status::InvalidArgument(
+        "policy must have num_time_steps + 1 slices");
+  }
+  if (policy.cols() != q_grid.size()) {
+    return common::Status::InvalidArgument("policy slice size mismatch");
+  }
+  solution.q_grid = q_grid;
+  solution.dt = params.TimeStep();
+  const bool reuse = solution.densities.size() == nt + 1 &&
+                     solution.densities.front().grid() == q_grid;
+  if (!reuse) {
+    solution.densities.clear();
+    solution.densities.reserve(nt + 1);
+    for (std::size_t n = 0; n <= nt; ++n) {
+      solution.densities.push_back(initial);
+    }
+  } else {
+    solution.densities.front().mutable_values() = initial.values();
+  }
+  return common::Status::Ok();
+}
+
+common::Status MakeInitialDensityInto(const MfgParams& params,
+                                      const numerics::Grid1D& q_grid,
+                                      numerics::Density1D& out) {
+  return numerics::Density1D::TruncatedGaussianInto(
+      q_grid, params.init_mean_frac * params.content_size,
+      params.init_std_frac * params.content_size, out);
+}
 
 FpkSolver1D::FpkSolver1D(const MfgParams& params,
                          const numerics::Grid1D& q_grid)
@@ -19,12 +58,10 @@ FpkSolver1D::FpkSolver1D(const MfgParams& params,
 
 void FpkSolver1D::InitTables() {
   const std::size_t nq = q_grid_.size();
-  q_coords_.resize(nq);
   neg_w1_avail_.resize(nq);
   for (std::size_t i = 0; i < nq; ++i) {
-    q_coords_[i] = q_grid_.x(i);
     neg_w1_avail_[i] =
-        -params_.dynamics.w1 * params_.ControlAvailability(q_coords_[i]);
+        -params_.dynamics.w1 * params_.ControlAvailability(q_grid_.x(i));
   }
 }
 
@@ -52,9 +89,7 @@ common::StatusOr<numerics::Density1D> FpkSolver1D::MakeInitialDensity()
 
 common::Status FpkSolver1D::MakeInitialDensityInto(
     numerics::Density1D& out) const {
-  return numerics::Density1D::TruncatedGaussianInto(
-      q_grid_, params_.init_mean_frac * params_.content_size,
-      params_.init_std_frac * params_.content_size, out);
+  return core::MakeInitialDensityInto(params_, q_grid_, out);
 }
 
 common::StatusOr<FpkSolution> FpkSolver1D::Solve(
@@ -103,54 +138,19 @@ common::Status FpkSolver1D::SolveInto(const numerics::Density1D& initial,
   MFG_OBS_SPAN("Fpk.SolveInto");
   MFG_OBS_SCOPED_TIMER("core.fpk.sweep_seconds");
   MFG_OBS_COUNT("core.fpk.sweeps", 1);
+  MFG_RETURN_IF_ERROR(
+      BeginFpkSolve(params_, q_grid_, initial, policy, solution));
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nq = q_grid_.size();
-  if (!(initial.grid() == q_grid_)) {
-    return common::Status::InvalidArgument(
-        "initial density grid does not match the solver grid");
-  }
-  if (policy.size() != nt + 1) {
-    return common::Status::InvalidArgument(
-        "policy must have num_time_steps + 1 slices");
-  }
-  if (policy.cols() != nq) {
-    return common::Status::InvalidArgument("policy slice size mismatch");
-  }
-
-  const double dt_out = params_.TimeStep();
-  const double diffusion =
-      0.5 * params_.dynamics.rho_q * params_.dynamics.rho_q;
-  const double max_speed = params_.MaxAbsDriftSpeed();
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid_.dx(), max_speed, diffusion, params_.grid.cfl_safety);
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_out / stable_dt)));
-  const double dt_sub = dt_out / static_cast<double>(substeps);
-
-  solution.q_grid = q_grid_;
-  solution.dt = dt_out;
-  // Reuse the previous trajectory's density storage when the shape still
-  // matches (the steady state of the best-response loop); rebuild it via
-  // push_back otherwise.
-  const bool reuse = solution.densities.size() == nt + 1 &&
-                     solution.densities.front().grid() == q_grid_;
-  if (!reuse) {
-    solution.densities.clear();
-    solution.densities.reserve(nt + 1);
-    for (std::size_t n = 0; n <= nt; ++n) {
-      solution.densities.push_back(initial);
-    }
-  } else {
-    solution.densities.front().mutable_values() = initial.values();
-  }
+  const CflSubsteps steps = params_.CflSubstepsFor(q_grid_.dx());
 
   const double dx = q_grid_.dx();
   const double content_size = params_.content_size;
   // Per-element divisor reciprocals, hoisted once per solve (the substep
   // loop is division-throughput-bound otherwise). The batched solver
   // computes the same expressions per lane at bind time (bit-identity).
-  const double d_over_dx = diffusion / dx;
-  const double dt_sub_over_dx = dt_sub / dx;
+  const double d_over_dx = steps.diffusion / dx;
+  const double dt_sub_over_dx = steps.dt_sub / dx;
   ws.lambda = initial.values();
   ws.velocity.assign(nq, 0.0);
   ws.face_flux.assign(nq + 1, 0.0);
@@ -189,17 +189,14 @@ common::Status FpkSolver1D::SolveInto(const numerics::Density1D& initial,
   for (std::size_t n = 0; n < nt; ++n) {
     // Drift b(t_n, q_i) under the node-n policy slice; same expression as
     // MfgParams::CacheDriftAtNode with the node constants hoisted.
-    const double retention = params_.dynamics.w2 * params_.PopularityAt(n);
-    const double discard =
-        params_.dynamics.w3 *
-        std::pow(params_.dynamics.xi, params_.TimelinessAt(n));
+    const NodeDriftTerms terms = params_.DriftTermsAt(n);
     const auto policy_row = policy[n];
     for (std::size_t i = 0; i < nq; ++i) {
       ws.velocity[i] = content_size * (neg_w1_avail_[i] * policy_row[i] -
-                                       retention + discard);
+                                       terms.retention + terms.discard);
     }
     if (params_.grid.implicit_fpk) {
-      MFG_RETURN_IF_ERROR(implicit_step(ws.lambda, dt_out));
+      MFG_RETURN_IF_ERROR(implicit_step(ws.lambda, steps.dt));
       if (!common::AllFinite(std::span<const double>(ws.lambda))) {
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
                          params_.content_id, static_cast<std::uint32_t>(n),
@@ -210,7 +207,7 @@ common::Status FpkSolver1D::SolveInto(const numerics::Density1D& initial,
     } else {
       std::vector<double>& lambda = ws.lambda;
       std::vector<double>& face_flux = ws.face_flux;
-      for (std::size_t sub = 0; sub < substeps; ++sub) {
+      for (std::size_t sub = 0; sub < steps.count; ++sub) {
         // Finite-volume face fluxes: advective donor-cell + central
         // diffusive. Boundary faces (0 and nq) stay zero -> reflecting.
         face_flux[0] = 0.0;
@@ -243,7 +240,7 @@ common::Status FpkSolver1D::SolveInto(const numerics::Density1D& initial,
     ws.lambda = out.values();
   }
   MFG_FLIGHT_EVENT(
-      kFpkSweep, 0, params_.content_id, 0, static_cast<double>(substeps),
+      kFpkSweep, 0, params_.content_id, 0, static_cast<double>(steps.count),
       obs::FlightMaxAbs(std::span<const double>(solution.densities[nt].values())));
   return common::Status::Ok();
 }

@@ -39,6 +39,24 @@ struct FpkSolution {
   std::size_t num_time_nodes() const { return densities.size(); }
 };
 
+// The per-solve preamble both FPK solvers run for one content: checks the
+// initial density's grid and the policy's shape, then sets the solution's
+// grid and step and reuses its density storage when the shape still
+// matches (the steady state of the best-response loop), rebuilding it
+// otherwise. densities[0] holds `initial` on return.
+common::Status BeginFpkSolve(const MfgParams& params,
+                             const numerics::Grid1D& q_grid,
+                             const numerics::Density1D& initial,
+                             const numerics::TimeField2D& policy,
+                             FpkSolution& solution);
+
+// The initial density prescribed by `params` on `q_grid` (truncated
+// Gaussian with mean init_mean_frac·Q_k and std init_std_frac·Q_k),
+// reusing `out`'s sample storage.
+common::Status MakeInitialDensityInto(const MfgParams& params,
+                                      const numerics::Grid1D& q_grid,
+                                      numerics::Density1D& out);
+
 class FpkSolver1D {
  public:
   // Scratch buffers reused across Solve calls (sized on first use).
@@ -94,8 +112,7 @@ class FpkSolver1D {
 
   MfgParams params_;
   numerics::Grid1D q_grid_;
-  // Hot-loop invariants: q_i and (−w1)·a(q_i), the drift's control gain.
-  std::vector<double> q_coords_;
+  // Hot-loop invariant: (−w1)·a(q_i), the drift's control gain.
   std::vector<double> neg_w1_avail_;
 };
 

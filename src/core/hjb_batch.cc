@@ -1,9 +1,10 @@
 #include "core/hjb_batch.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
+#include "common/math_util.h"
+#include "econ/smooth_heaviside.h"
 #include "numerics/finite_difference.h"
 #include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
@@ -12,22 +13,8 @@
 namespace mfg::core {
 namespace {
 
-// econ::SmoothHeaviside::operator() verbatim — the lane tables must carry
-// the same bits the scalar CaseModel::Evaluate produces.
-inline double Logistic(double sharpness, double x) {
-  const double z = 2.0 * sharpness * x;
-  if (z >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-z));
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-// common::ClampUnit verbatim (min(max(x, 0), 1)), inlined so the substep
-// loop stays call-free.
-inline double ClampUnitInline(double x) {
-  return std::min(std::max(x, 0.0), 1.0);
-}
+using common::ClampUnit;
+using econ::Logistic;
 
 // The three per-substep lane loops below are the profile of the whole
 // backward sweep, so they are kept in a shape GCC's vectorizer accepts:
@@ -148,7 +135,7 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
     const double dv = (vi[l] - vm[l]) * inv_dx[l];
     const double numerator =
         w4[l] + avd[l] * (opt_k1[l] + opt_k2[l] * dv);
-    const double x = ClampUnitInline(-numerator * inv_2w5[l]);
+    const double x = ClampUnit(-numerator * inv_2w5[l]);
     const double drift = csnw[l] * x - cs_rd[l];
     const double dvu = (vi[l] - vm[l]) * inv_dx[l];
     const double d2_1 = (vp[l] - 2.0 * vi[l] + vm[l]) * inv_dx2[l];
@@ -166,11 +153,11 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
       const double dv = (vp[l] - vm[l]) * inv_2dx[l];
       const double numerator =
           w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
-      const double x = ClampUnitInline(-numerator * inv_2w5[l]);
+      const double x = ClampUnit(-numerator * inv_2w5[l]);
       const double drift = csnw[row + l] * x - cs_rd[l];
       // Upwind on the backward-time transport velocity −drift (the scalar
-      // solver's ws.upwind_velocity), selected before the shared inv_dx
-      // multiply exactly as in UpwindGradientBatchInto.
+      // solver's ws.upwind_velocity): the taken branch of
+      // UpwindGradientInto, selected before the shared inv_dx multiply.
       const double num =
           -drift > 0.0 ? vi[l] - vm[l] : vp[l] - vi[l];
       const double dvu = num * inv_dx[l];
@@ -210,7 +197,7 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
       const double dv = (vp[l] - vi[l]) * inv_dx[l];
       const double numerator =
           w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
-      const double x = ClampUnitInline(-numerator * inv_2w5[l]);
+      const double x = ClampUnit(-numerator * inv_2w5[l]);
       const double drift = csnw[row + l] * x - cs_rd[l];
       const double dvu = (vp[l] - vi[l]) * inv_dx[l];
       const double placement = w4[l] * x + w5[l] * x * x;
@@ -273,7 +260,7 @@ void ComputePolicyBatch(std::size_t nq, std::size_t m, const double* dvd,
     for (std::size_t l = 0; l < m; ++l) {
       const double numerator =
           w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dvd[row + l]);
-      xsd[row + l] = ClampUnitInline(-numerator * inv_2w5[l]);
+      xsd[row + l] = ClampUnit(-numerator * inv_2w5[l]);
     }
   }
 }
@@ -288,23 +275,17 @@ void HjbBatchSolver::Reset(std::size_t num_lanes) {
   opt_k1_.resize(num_lanes);
   opt_k2_.resize(num_lanes);
   content_size_.resize(num_lanes);
-  edge_rate_.resize(num_lanes);
-  cloud_rate_.resize(num_lanes);
-  ondemand_rate_.resize(num_lanes);
   eta2_.resize(num_lanes);
   w4_.resize(num_lanes);
   w5_.resize(num_lanes);
   sharing_price_.resize(num_lanes);
   threshold_.resize(num_lanes);
   sharpness_.resize(num_lanes);
-  dx_.resize(num_lanes);
-  dt_.resize(num_lanes);
   dt_sub_.resize(num_lanes);
   diffusion_.resize(num_lanes);
   substeps_.resize(num_lanes);
   sharing_.resize(num_lanes);
   inv_2w5_.resize(num_lanes);
-  cs_over_cloud_.resize(num_lanes);
   k_delay_.resize(num_lanes);
   inv_edge_.resize(num_lanes);
   inv_ond_.resize(num_lanes);
@@ -328,7 +309,6 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     nt_ = nt;
     q_coords_.Assign(nq, num_lanes_, 0.0);
     avail_.Assign(nq, num_lanes_, 0.0);
-    neg_w1_avail_.Assign(nq, num_lanes_, 0.0);
     p1_.Assign(nq, num_lanes_, 0.0);
     fq_gt_.Assign(nq, num_lanes_, 0.0);
     served_own_.Assign(nq, num_lanes_, 0.0);
@@ -343,60 +323,46 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
   params_[lane] = params;
   grids_[lane] = q_grid;
 
+  // The scalar solver's tables, scattered into this lane's column and
+  // entries.
+  FillHjbTables(params, q_grid, tables_);
   const double content_size = params.content_size;
   const double threshold = case_model.alpha() * content_size;
   const double sharpness = params.case_sharpness;
   for (std::size_t i = 0; i < nq; ++i) {
-    const double q = q_grid.x(i);
+    const double q = tables_.q_coords[i];
     q_coords_.at(i, lane) = q;
-    const double avail = params.ControlAvailability(q);
-    avail_.at(i, lane) = avail;
-    neg_w1_avail_.at(i, lane) = -params.dynamics.w1 * avail;
+    avail_.at(i, lane) = tables_.avail[i];
+    cs_nw_.at(i, lane) = tables_.cs_nw[i];
     p1_.at(i, lane) = Logistic(sharpness, threshold - q);
     fq_gt_.at(i, lane) = Logistic(sharpness, q - threshold);
     served_own_.at(i, lane) = std::max(content_size - q, 0.0);
     q_pos_.at(i, lane) = std::max(q, 0.0);
-    cs_nw_.at(i, lane) = content_size * neg_w1_avail_.at(i, lane);
   }
+  opt_k1_[lane] = tables_.opt_k1;
+  opt_k2_[lane] = tables_.opt_k2;
+  inv_2w5_[lane] = tables_.inv_2w5;
+  k_delay_[lane] = tables_.k_delay;
+  inv_edge_[lane] = tables_.inv_edge;
+  inv_ond_[lane] = tables_.inv_ond;
 
-  const auto& staleness = params.utility.staleness;
-  opt_k1_[lane] = staleness.eta2 * content_size / staleness.cloud_rate;
-  opt_k2_[lane] = content_size * params.dynamics.w1;
   content_size_[lane] = content_size;
-  edge_rate_[lane] = params.edge_rate;
-  cloud_rate_[lane] = staleness.cloud_rate;
-  ondemand_rate_[lane] = staleness.cloud_ondemand_rate;
-  eta2_[lane] = staleness.eta2;
+  eta2_[lane] = params.utility.staleness.eta2;
   w4_[lane] = params.utility.placement.w4;
   w5_[lane] = params.utility.placement.w5;
   sharing_price_[lane] = params.utility.sharing_price;
   threshold_[lane] = threshold;
   sharpness_[lane] = sharpness;
   sharing_[lane] = params.sharing_enabled ? 1 : 0;
-  // The scalar solver's bind-time reciprocals (identical expressions).
-  inv_2w5_[lane] = 1.0 / (2.0 * params.utility.placement.w5);
-  cs_over_cloud_[lane] = content_size / staleness.cloud_rate;
-  k_delay_[lane] = staleness.eta2 * cs_over_cloud_[lane];
-  inv_edge_[lane] = 1.0 / params.edge_rate;
-  inv_ond_[lane] = 1.0 / staleness.cloud_ondemand_rate;
   // The scalar FD kernels' per-call reciprocal hoists, per lane.
   inv_dx_[lane] = 1.0 / q_grid.dx();
   inv_2dx_[lane] = 1.0 / (2.0 * q_grid.dx());
   inv_dx2_[lane] = 1.0 / (q_grid.dx() * q_grid.dx());
 
-  // Same sub-stepping arithmetic as the scalar SolveInto, moved to bind
-  // time (all inputs are bind-time constants).
-  dx_[lane] = q_grid.dx();
-  dt_[lane] = params.TimeStep();
-  const double max_speed = params.MaxAbsDriftSpeed();
-  const double diffusion =
-      0.5 * params.dynamics.rho_q * params.dynamics.rho_q;
-  diffusion_[lane] = diffusion;
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid.dx(), max_speed, diffusion, params.grid.cfl_safety);
-  substeps_[lane] = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_[lane] / stable_dt)));
-  dt_sub_[lane] = dt_[lane] / static_cast<double>(substeps_[lane]);
+  const CflSubsteps steps = params.CflSubstepsFor(q_grid.dx());
+  diffusion_[lane] = steps.diffusion;
+  substeps_[lane] = steps.count;
+  dt_sub_[lane] = steps.dt_sub;
   return common::Status::Ok();
 }
 
@@ -420,39 +386,9 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     MFG_OBS_COUNT("core.hjb.sweeps", 1);
-    lane.status = common::Status::Ok();
-    // Per-lane validation, verbatim from the scalar SolveInto.
-    if (lane.mean_field->size() != nt + 1) {
-      lane.status = common::Status::InvalidArgument(
-          "mean_field must have num_time_steps + 1 entries, got " +
-          std::to_string(lane.mean_field->size()));
-      continue;
-    }
-    if (cloud_rate_[l] <= 0.0 || ondemand_rate_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("cloud rates must be positive");
-      continue;
-    }
-    if (edge_rate_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("edge rate must be positive");
-      continue;
-    }
-    if (content_size_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("content size must be positive");
-      continue;
-    }
-    if (eta2_[l] < 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("eta2 must be non-negative");
-      continue;
-    }
-    HjbSolution& solution = *lane.solution;
-    solution.q_grid = grids_[l];
-    solution.dt = dt_[l];
-    solution.value.Assign(nt + 1, nq, 0.0);
-    solution.policy.Assign(nt + 1, nq, 0.0);
+    lane.status = BeginHjbSolve(params_[l], grids_[l],
+                                lane.mean_field->size(), *lane.solution);
+    if (!lane.status.ok()) continue;
     alive[l] = 1;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
@@ -526,11 +462,8 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       ws.peer[l] = mf.mean_peer_remaining;
       ws.price[l] = mf.price;
       ws.num_requests[l] = params.RequestsAt(n);
-      const double retention = params.dynamics.w2 * params.PopularityAt(n);
-      const double discard =
-          params.dynamics.w3 *
-          std::pow(params.dynamics.xi, params.TimelinessAt(n));
-      ws.cs_rd[l] = content_size_[l] * (retention - discard);
+      const NodeDriftTerms terms = params.DriftTermsAt(n);
+      ws.cs_rd[l] = content_size_[l] * (terms.retention - terms.discard);
       const bool sharing = sharing_[l] != 0;
       ws.share_n[l] = sharing ? mf.sharing_benefit : 0.0;
       ws.served_peer[l] = std::max(content_size_[l] - ws.peer[l], 0.0);

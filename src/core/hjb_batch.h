@@ -21,7 +21,10 @@
 // of HjbSolver1D::SolveInto on lane-l data — same operations, same order,
 // no cross-lane arithmetic — so an active lane's HjbSolution is bitwise
 // equal to the scalar solver's (guarded by batch_equivalence_test and the
-// epoch goldens). Two scalar-side identities make the batch layout cheap:
+// epoch goldens). Outside the lane loops the batch calls the scalar code
+// itself — BeginHjbSolve, FillHjbTables, MfgParams::CflSubstepsFor and
+// DriftTermsAt, econ::Logistic — so those steps match by construction.
+// Two scalar-side identities make the batch layout cheap:
 //
 //  * The case probabilities are separable, p1 = f(αQ − q_i),
 //    p2/p3 = f(q_i − αQ)·f(±(peer_n − αQ)). The q-only factors are
@@ -103,8 +106,8 @@ class HjbBatchSolver {
   // SolveInto. Keeps table capacity across calls.
   void Reset(std::size_t num_lanes);
 
-  // Validates `params` and tabulates lane `lane`, replicating
-  // HjbSolver1D::Rebind for that lane. All bound lanes must share the grid
+  // Validates `params` and tabulates lane `lane` with the scalar solver's
+  // FillHjbTables and CflSubstepsFor. All bound lanes must share the grid
   // shape (num_q_nodes / num_time_steps) — the epoch path guarantees this
   // since every content derives from the same base_params.
   common::Status BindLane(std::size_t lane, const MfgParams& params);
@@ -125,47 +128,40 @@ class HjbBatchSolver {
   std::vector<MfgParams> params_;
   std::vector<numerics::Grid1D> grids_;
 
+  // Bind scratch: lane `lane`'s HjbTables before the scatter below.
+  HjbTables tables_;
+
   // Per-(node, lane) tables, [node][lane] layout.
   numerics::BatchField q_coords_;
   numerics::BatchField avail_;
-  numerics::BatchField neg_w1_avail_;
   numerics::BatchField p1_;          // f(αQ − q_i): the case-1 probability.
   numerics::BatchField fq_gt_;       // f(q_i − αQ): shared factor of p2/p3.
   numerics::BatchField served_own_;  // max(Q − q_i, 0).
   numerics::BatchField q_pos_;       // max(q_i, 0).
   numerics::BatchField cs_nw_;       // Q_k·(−w1)·a(q_i): drift x-gain.
 
-  // Per-lane constants.
+  // Per-lane constants; the HjbTables scalars and the FD reciprocals
+  // (1/dx, 1/(2dx), 1/dx² — the scalar kernels' per-call hoists).
   std::vector<double> opt_k1_;
   std::vector<double> opt_k2_;
   std::vector<double> content_size_;
-  std::vector<double> edge_rate_;
-  std::vector<double> cloud_rate_;
-  std::vector<double> ondemand_rate_;
   std::vector<double> eta2_;
   std::vector<double> w4_;
   std::vector<double> w5_;
   std::vector<double> sharing_price_;
   std::vector<double> threshold_;   // αQ.
   std::vector<double> sharpness_;   // Logistic steepness.
-  std::vector<double> dx_;
-  std::vector<double> dt_;
   std::vector<double> dt_sub_;
   std::vector<double> diffusion_;
   std::vector<std::size_t> substeps_;
   std::vector<std::uint8_t> sharing_;
-  // Per-lane reciprocals of the per-element divisors, the same expressions
-  // HjbSolver1D::InitTables and the scalar FD kernels hoist (the substep
-  // loops are division-throughput-bound otherwise; identical expressions
-  // keep bit-identity).
-  std::vector<double> inv_2w5_;        // 1 / (2 w5).
-  std::vector<double> cs_over_cloud_;  // Q_k / H_c.
-  std::vector<double> k_delay_;        // η₂ Q_k / H_c (staleness x-gain).
-  std::vector<double> inv_edge_;       // 1 / r_edge.
-  std::vector<double> inv_ond_;        // 1 / H_od.
-  std::vector<double> inv_dx_;         // 1 / dx.
-  std::vector<double> inv_2dx_;        // 1 / (2 dx).
-  std::vector<double> inv_dx2_;        // 1 / dx².
+  std::vector<double> inv_2w5_;
+  std::vector<double> k_delay_;
+  std::vector<double> inv_edge_;
+  std::vector<double> inv_ond_;
+  std::vector<double> inv_dx_;
+  std::vector<double> inv_2dx_;
+  std::vector<double> inv_dx2_;
 };
 
 }  // namespace mfg::core

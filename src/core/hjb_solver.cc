@@ -1,7 +1,6 @@
 #include "core/hjb_solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "common/math_util.h"
@@ -13,34 +12,61 @@
 
 namespace mfg::core {
 
+void FillHjbTables(const MfgParams& params, const numerics::Grid1D& q_grid,
+                   HjbTables& out) {
+  const std::size_t nq = q_grid.size();
+  out.q_coords.resize(nq);
+  out.avail.resize(nq);
+  out.cs_nw.resize(nq);
+  for (std::size_t i = 0; i < nq; ++i) {
+    out.q_coords[i] = q_grid.x(i);
+    out.avail[i] = params.ControlAvailability(out.q_coords[i]);
+    out.cs_nw[i] = params.content_size * (-params.dynamics.w1 * out.avail[i]);
+  }
+  const auto& staleness = params.utility.staleness;
+  out.opt_k1 = staleness.eta2 * params.content_size / staleness.cloud_rate;
+  out.opt_k2 = params.content_size * params.dynamics.w1;
+  out.inv_2w5 = 1.0 / (2.0 * params.utility.placement.w5);
+  out.k_delay = staleness.eta2 * (params.content_size / staleness.cloud_rate);
+  out.inv_edge = 1.0 / params.edge_rate;
+  out.inv_ond = 1.0 / staleness.cloud_ondemand_rate;
+}
+
+common::Status BeginHjbSolve(const MfgParams& params,
+                             const numerics::Grid1D& q_grid,
+                             std::size_t mean_field_size,
+                             HjbSolution& solution) {
+  const std::size_t nt = params.grid.num_time_steps;
+  if (mean_field_size != nt + 1) {
+    return common::Status::InvalidArgument(
+        "mean_field must have num_time_steps + 1 entries, got " +
+        std::to_string(mean_field_size));
+  }
+  const auto& staleness = params.utility.staleness;
+  if (staleness.cloud_rate <= 0.0 || staleness.cloud_ondemand_rate <= 0.0) {
+    return common::Status::InvalidArgument("cloud rates must be positive");
+  }
+  if (params.edge_rate <= 0.0) {
+    return common::Status::InvalidArgument("edge rate must be positive");
+  }
+  if (params.content_size <= 0.0) {
+    return common::Status::InvalidArgument("content size must be positive");
+  }
+  if (staleness.eta2 < 0.0) {
+    return common::Status::InvalidArgument("eta2 must be non-negative");
+  }
+  solution.q_grid = q_grid;
+  solution.dt = params.TimeStep();
+  solution.value.Assign(nt + 1, q_grid.size(), 0.0);
+  solution.policy.Assign(nt + 1, q_grid.size(), 0.0);
+  return common::Status::Ok();
+}
+
 HjbSolver1D::HjbSolver1D(const MfgParams& params,
                          const numerics::Grid1D& q_grid,
                          const econ::CaseModel& case_model)
     : params_(params), q_grid_(q_grid), case_model_(case_model) {
-  InitTables();
-}
-
-void HjbSolver1D::InitTables() {
-  const std::size_t nq = q_grid_.size();
-  q_coords_.resize(nq);
-  avail_.resize(nq);
-  neg_w1_avail_.resize(nq);
-  cs_nw_.resize(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    q_coords_[i] = q_grid_.x(i);
-    avail_[i] = params_.ControlAvailability(q_coords_[i]);
-    neg_w1_avail_[i] = -params_.dynamics.w1 * avail_[i];
-    cs_nw_[i] = params_.content_size * neg_w1_avail_[i];
-  }
-  opt_k1_ = params_.utility.staleness.eta2 * params_.content_size /
-            params_.utility.staleness.cloud_rate;
-  opt_k2_ = params_.content_size * params_.dynamics.w1;
-  inv_2w5_ = 1.0 / (2.0 * params_.utility.placement.w5);
-  cs_over_cloud_ =
-      params_.content_size / params_.utility.staleness.cloud_rate;
-  k_delay_ = params_.utility.staleness.eta2 * cs_over_cloud_;
-  inv_edge_ = 1.0 / params_.edge_rate;
-  inv_ond_ = 1.0 / params_.utility.staleness.cloud_ondemand_rate;
+  FillHjbTables(params_, q_grid_, tables_);
 }
 
 common::StatusOr<HjbSolver1D> HjbSolver1D::Create(const MfgParams& params) {
@@ -57,15 +83,16 @@ common::Status HjbSolver1D::Rebind(const MfgParams& params) {
   params_ = params;
   q_grid_ = q_grid;
   case_model_ = case_model;
-  InitTables();
+  FillHjbTables(params_, q_grid_, tables_);
   return common::Status::Ok();
 }
 
 double HjbSolver1D::OptimalRate(double dq_value, double availability) const {
   const auto& placement = params_.utility.placement;
   const double numerator =
-      placement.w4 + availability * (opt_k1_ + opt_k2_ * dq_value);
-  return common::ClampUnit(-numerator * inv_2w5_);
+      placement.w4 +
+      availability * (tables_.opt_k1 + tables_.opt_k2 * dq_value);
+  return common::ClampUnit(-numerator * tables_.inv_2w5);
 }
 
 common::StatusOr<double> HjbSolver1D::RunningUtility(
@@ -108,45 +135,11 @@ common::Status HjbSolver1D::SolveInto(
   MFG_OBS_SPAN("Hjb.SolveInto");
   MFG_OBS_SCOPED_TIMER("core.hjb.sweep_seconds");
   MFG_OBS_COUNT("core.hjb.sweeps", 1);
+  MFG_RETURN_IF_ERROR(
+      BeginHjbSolve(params_, q_grid_, mean_field.size(), solution));
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nq = q_grid_.size();
-  if (mean_field.size() != nt + 1) {
-    return common::Status::InvalidArgument(
-        "mean_field must have num_time_steps + 1 entries, got " +
-        std::to_string(mean_field.size()));
-  }
-  // Preconditions of the econ kernels (ServiceDelay / StalenessCost),
-  // validated once here so the per-node loop can run without StatusOr.
-  const auto& staleness_params = params_.utility.staleness;
-  if (staleness_params.cloud_rate <= 0.0 ||
-      staleness_params.cloud_ondemand_rate <= 0.0) {
-    return common::Status::InvalidArgument("cloud rates must be positive");
-  }
-  if (params_.edge_rate <= 0.0) {
-    return common::Status::InvalidArgument("edge rate must be positive");
-  }
-  if (params_.content_size <= 0.0) {
-    return common::Status::InvalidArgument("content size must be positive");
-  }
-  if (staleness_params.eta2 < 0.0) {
-    return common::Status::InvalidArgument("eta2 must be non-negative");
-  }
-
-  solution.q_grid = q_grid_;
-  solution.dt = params_.TimeStep();
-  solution.value.Assign(nt + 1, nq, 0.0);
-  solution.policy.Assign(nt + 1, nq, 0.0);
-
-  // Sub-stepping: conservative drift bound over the horizon (profiles
-  // included); the diffusion coefficient is ½ ϱ_q².
-  const double max_speed = params_.MaxAbsDriftSpeed();
-  const double diffusion =
-      0.5 * params_.dynamics.rho_q * params_.dynamics.rho_q;
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid_.dx(), max_speed, diffusion, params_.grid.cfl_safety);
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(solution.dt / stable_dt)));
-  const double dt_sub = solution.dt / static_cast<double>(substeps);
+  const CflSubsteps steps = params_.CflSubstepsFor(q_grid_.dx());
   const double dx = q_grid_.dx();
 
   ws.v.assign(nq, 0.0);
@@ -159,7 +152,7 @@ common::Status HjbSolver1D::SolveInto(
   ws.base.assign(nq, 0.0);
 
   const double content_size = params_.content_size;
-  const double eta2 = staleness_params.eta2;
+  const double eta2 = params_.utility.staleness.eta2;
   const double w4 = params_.utility.placement.w4;
   const double w5 = params_.utility.placement.w5;
   const double sharing_price = params_.utility.sharing_price;
@@ -170,7 +163,7 @@ common::Status HjbSolver1D::SolveInto(
     numerics::GradientInto(dx, ws.v, ws.dv);
     const auto policy_row = solution.policy[nt];
     for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = OptimalRate(ws.dv[i], avail_[i]);
+      policy_row[i] = OptimalRate(ws.dv[i], tables_.avail[i]);
     }
   }
 
@@ -180,16 +173,13 @@ common::Status HjbSolver1D::SolveInto(
     const MeanFieldQuantities& mf = mean_field[n];
     const double peer = mf.mean_peer_remaining;
     const double num_requests = params_.RequestsAt(n);
-    const double retention = params_.dynamics.w2 * params_.PopularityAt(n);
-    const double discard =
-        params_.dynamics.w3 *
-        std::pow(params_.dynamics.xi, params_.TimelinessAt(n));
+    const NodeDriftTerms terms = params_.DriftTermsAt(n);
     const double share_n = sharing ? mf.sharing_benefit : 0.0;
     const double served_peer = std::max(content_size - peer, 0.0);
-    // Drift = cs_nw_[i]·x − cs_rd with the node constants pre-multiplied
+    // Drift = cs_nw[i]·x − cs_rd with the node constants pre-multiplied
     // by the content size (one table read + one constant instead of
     // three). The batched solver folds the identical expressions.
-    const double cs_rd = content_size * (retention - discard);
+    const double cs_rd = content_size * (terms.retention - terms.discard);
 
     // Fold everything that is independent of the control x: case
     // probabilities, trading income, the request-service part of the
@@ -198,7 +188,7 @@ common::Status HjbSolver1D::SolveInto(
     // ws.base[i]; only the x-dependent placement and proactive-download
     // terms stay in the substep loop.
     for (std::size_t i = 0; i < nq; ++i) {
-      const double q = q_coords_[i];
+      const double q = tables_.q_coords[i];
       econ::CaseProbabilities cases =
           case_model_.Evaluate(q, peer, content_size);
       if (!sharing) {
@@ -209,23 +199,23 @@ common::Status HjbSolver1D::SolveInto(
                                                  content_size, q, peer);
       const double served_own = std::max(content_size - q, 0.0);
       const double per_request =
-          cases.p1 * served_own * inv_edge_ +
-          cases.p2 * served_peer * inv_edge_ +
-          cases.p3 * (std::max(q, 0.0) * inv_ond_ +
-                      content_size * inv_edge_);
+          cases.p1 * served_own * tables_.inv_edge +
+          cases.p2 * served_peer * tables_.inv_edge +
+          cases.p3 * (std::max(q, 0.0) * tables_.inv_ond +
+                      content_size * tables_.inv_edge);
       const double rest_delay = num_requests * per_request;
       const double sharing_cost =
           sharing ? econ::SharingCost(sharing_price, cases.p2, q, peer) : 0.0;
       ws.base[i] = trading + share_n - eta2 * rest_delay - sharing_cost;
     }
 
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
+    for (std::size_t sub = 0; sub < steps.count; ++sub) {
       numerics::GradientInto(dx, ws.v, ws.dv);
       // Optimal control from the current gradient (Theorem 1).
       for (std::size_t i = 0; i < nq; ++i) {
-        const double x = OptimalRate(ws.dv[i], avail_[i]);
+        const double x = OptimalRate(ws.dv[i], tables_.avail[i]);
         ws.x_star[i] = x;
-        const double drift = cs_nw_[i] * x - cs_rd;
+        const double drift = tables_.cs_nw[i] * x - cs_rd;
         ws.drift[i] = drift;
         // Backward time: in the tau = T - t variable the equation reads
         // dV/dtau + (-drift) dV/dq = ..., so the transport velocity that
@@ -239,10 +229,11 @@ common::Status HjbSolver1D::SolveInto(
         const double x = ws.x_star[i];
         const double placement = w4 * x + w5 * x * x;
         const double utility =
-            ws.base[i] - placement - k_delay_ * x * avail_[i];
-        const double hamiltonian =
-            ws.drift[i] * ws.dv_upwind[i] + diffusion * ws.d2v[i] + utility;
-        ws.v[i] += dt_sub * hamiltonian;  // Backward: V(t) = V(t+dt) + dt·H.
+            ws.base[i] - placement - tables_.k_delay * x * tables_.avail[i];
+        const double hamiltonian = ws.drift[i] * ws.dv_upwind[i] +
+                                   steps.diffusion * ws.d2v[i] + utility;
+        // Backward: V(t) = V(t+dt) + dt·H.
+        ws.v[i] += steps.dt_sub * hamiltonian;
       }
       if (!common::AllFinite(std::span<const double>(ws.v))) {
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
@@ -256,11 +247,11 @@ common::Status HjbSolver1D::SolveInto(
     numerics::GradientInto(dx, ws.v, ws.dv);
     const auto policy_row = solution.policy[n];
     for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = OptimalRate(ws.dv[i], avail_[i]);
+      policy_row[i] = OptimalRate(ws.dv[i], tables_.avail[i]);
     }
   }
   MFG_FLIGHT_EVENT(kHjbSweep, 0, params_.content_id, 0,
-                   static_cast<double>(substeps),
+                   static_cast<double>(steps.count),
                    obs::FlightMaxAbs(std::span<const double>(ws.v)));
   return common::Status::Ok();
 }

@@ -49,6 +49,37 @@ struct HjbSolution {
   std::size_t num_time_nodes() const { return value.size(); }
 };
 
+// Bind-time tables of one content's HJB sweep: the per-node control
+// availability and drift x-gain plus the Theorem-1 constants and the
+// reciprocals of the per-element divisors (the substep loops are
+// division-throughput- and load-bound otherwise). HjbSolver1D keeps one;
+// HjbBatchSolver fills one per lane and scatters it into its [node][lane]
+// tables, so both solver families read the same bits.
+struct HjbTables {
+  std::vector<double> q_coords;  // q_i.
+  std::vector<double> avail;     // a(q_i).
+  std::vector<double> cs_nw;     // Q_k·(−w1)·a(q_i): drift x-gain.
+  double opt_k1 = 0.0;           // (η₂ Q_k) / H_c.
+  double opt_k2 = 0.0;           // Q_k w1.
+  double inv_2w5 = 0.0;          // 1 / (2 w5).
+  double k_delay = 0.0;          // η₂ (Q_k / H_c) (staleness x-gain).
+  double inv_edge = 0.0;         // 1 / r_edge.
+  double inv_ond = 0.0;          // 1 / H_od.
+};
+
+// Fills `out` for `params` on `q_grid`, reusing its storage.
+void FillHjbTables(const MfgParams& params, const numerics::Grid1D& q_grid,
+                   HjbTables& out);
+
+// The per-solve preamble both HJB solvers run for one content: checks the
+// mean-field arity and the econ kernels' preconditions (ServiceDelay /
+// StalenessCost), validated once so the node loops run without StatusOr,
+// then shapes `solution` for the sweep.
+common::Status BeginHjbSolve(const MfgParams& params,
+                             const numerics::Grid1D& q_grid,
+                             std::size_t mean_field_size,
+                             HjbSolution& solution);
+
 class HjbSolver1D {
  public:
   // Scratch buffers sized on first use (all length nq); reuse across
@@ -107,30 +138,10 @@ class HjbSolver1D {
   HjbSolver1D(const MfgParams& params, const numerics::Grid1D& q_grid,
               const econ::CaseModel& case_model);
 
-  // (Re)computes the per-node tables and Theorem-1 constants from the
-  // current params_/q_grid_; shared by the constructor and Rebind.
-  void InitTables();
-
   MfgParams params_;
   numerics::Grid1D q_grid_;
   econ::CaseModel case_model_;
-
-  // Node tables precomputed at construction (hot-loop invariants).
-  std::vector<double> q_coords_;       // q_i.
-  std::vector<double> avail_;          // a(q_i).
-  std::vector<double> neg_w1_avail_;   // (−w1)·a(q_i), the drift control gain.
-  std::vector<double> cs_nw_;          // Q_k·(−w1)·a(q_i): drift x-gain.
-  double opt_k1_ = 0.0;                // (η₂ Q_k) / H_c.
-  double opt_k2_ = 0.0;                // Q_k w1.
-  // Reciprocals and products of the per-element constants, hoisted to bind
-  // time: the substep loops are division-throughput- and load-bound
-  // otherwise. The batched solver computes the same expressions per lane,
-  // keeping bit-identity.
-  double inv_2w5_ = 0.0;               // 1 / (2 w5).
-  double cs_over_cloud_ = 0.0;         // Q_k / H_c.
-  double k_delay_ = 0.0;               // η₂ Q_k / H_c (staleness x-gain).
-  double inv_edge_ = 0.0;              // 1 / r_edge.
-  double inv_ond_ = 0.0;               // 1 / H_od.
+  HjbTables tables_;  // Hot-loop invariants, refilled by Rebind.
 };
 
 }  // namespace mfg::core

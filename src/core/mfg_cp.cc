@@ -307,13 +307,13 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
   SettleSlot(job, slot, SlotOutcome::kFailed);
 }
 
-// Block body for batch_width == 1: solves slots [begin, end) one at a
-// time on worker `worker`'s long-lived scalar learner and workspace,
-// running the recovery ladder on failure. This is the reference path the
-// batched body below is held bit-identical to. Writes only these slots'
-// result/status/outcome (plus each slot content's own carry entry, which
-// no other slot touches this epoch), so any block→worker schedule yields
-// bit-identical results.
+// Block body for batch_width == 1 and for implicit FPK: solves slots
+// [begin, end) one at a time on worker `worker`'s long-lived scalar
+// learner and workspace, running the recovery ladder on failure. This is
+// the reference path the batched body below is held bit-identical to.
+// Writes only these slots' result/status/outcome (plus each slot content's
+// own carry entry, which no other slot touches this epoch), so any
+// block→worker schedule yields bit-identical results.
 void SolveEpochSlots(void* ctx, std::size_t worker, std::size_t begin,
                      std::size_t end) {
   const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
@@ -545,13 +545,17 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   // work. Results are unaffected: both block bodies are bit-identical to
   // the scalar per-slot solve at any block width. batch_width > 1 runs
   // the SoA body (SolveEpochBlock); batch_width == 1 gives one-slot blocks
-  // on the scalar body (SolveEpochSlots).
+  // on the scalar body (SolveEpochSlots), which also solves every block
+  // under grid.implicit_fpk (the batched FPK steps explicitly only).
   EpochSolveJob job{this, &obs, &buffer, &state_->runtime};
   const std::size_t per_worker = std::max<std::size_t>(
       1, buffer.num_active / state_->runtime.num_workers());
-  state_->runtime.RunEpoch(
-      buffer.num_active, std::min(options_.batch_width, per_worker),
-      options_.batch_width > 1 ? &SolveEpochBlock : &SolveEpochSlots, &job);
+  const bool batched = options_.batch_width > 1 &&
+                       !options_.base_params.grid.implicit_fpk;
+  state_->runtime.RunEpoch(buffer.num_active,
+                           std::min(options_.batch_width, per_worker),
+                           batched ? &SolveEpochBlock : &SolveEpochSlots,
+                           &job);
   ++buffer.epoch_index;
 
   // Degradation tally + aggregated failure report. The per-slot statuses

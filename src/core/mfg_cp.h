@@ -95,9 +95,10 @@ struct MfgCpOptions {
   // (shrunk on small epochs so every worker gets a block). Blocks wider
   // than 1 solve as one SoA batch (the lanes of the batched
   // HJB/FPK/best-response solvers; see ARCHITECTURE.md "Batched solver
-  // layer"); 1 solves one-slot blocks on the scalar learner. Each lane
-  // runs the exact scalar expression tree, so results stay bit-identical
-  // for every value.
+  // layer"); 1 solves one-slot blocks on the scalar learner, and so does
+  // every width when base_params.grid.implicit_fpk is set (only explicit
+  // FPK is batched). Each lane runs the exact scalar expression tree, so
+  // results stay bit-identical for every value.
   std::size_t batch_width = 8;
   // Per-content failure handling (see EpochRecoveryOptions above).
   EpochRecoveryOptions recovery;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "numerics/finite_difference.h"
+
 namespace mfg::core {
 
 common::Status MfgParams::Validate() const {
@@ -167,10 +169,14 @@ double MfgParams::RequestsAt(std::size_t node) const {
 
 double MfgParams::CacheDriftAtNode(double x, double q,
                                    std::size_t node) const {
-  return content_size *
-         (-dynamics.w1 * ControlAvailability(q) * x -
-          dynamics.w2 * PopularityAt(node) +
-          dynamics.w3 * std::pow(dynamics.xi, TimelinessAt(node)));
+  const NodeDriftTerms terms = DriftTermsAt(node);
+  return content_size * (-dynamics.w1 * ControlAvailability(q) * x -
+                         terms.retention + terms.discard);
+}
+
+NodeDriftTerms MfgParams::DriftTermsAt(std::size_t node) const {
+  return {dynamics.w2 * PopularityAt(node),
+          dynamics.w3 * std::pow(dynamics.xi, TimelinessAt(node))};
 }
 
 double MfgParams::MaxAbsDriftSpeed() const {
@@ -181,6 +187,18 @@ double MfgParams::MaxAbsDriftSpeed() const {
   return content_size *
          (dynamics.w1 + dynamics.w2 * std::max(max_popularity, 1.0) +
           dynamics.w3 * std::pow(dynamics.xi, min_timeliness));
+}
+
+CflSubsteps MfgParams::CflSubstepsFor(double dx) const {
+  CflSubsteps steps;
+  steps.dt = TimeStep();
+  steps.diffusion = 0.5 * dynamics.rho_q * dynamics.rho_q;
+  const double stable_dt = numerics::StableTimeStep(
+      dx, MaxAbsDriftSpeed(), steps.diffusion, grid.cfl_safety);
+  steps.count = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(steps.dt / stable_dt)));
+  steps.dt_sub = steps.dt / static_cast<double>(steps.count);
+  return steps;
 }
 
 double MfgParams::CacheDrift(double x) const {

@@ -51,6 +51,22 @@ struct LearningParams {
   double relaxation = 0.5;           // Damping γ of the policy update.
 };
 
+// Explicit time stepping of one content's 1-D HJB/FPK sweeps on q-spacing
+// dx: the output step split into the fewest equal substeps that satisfy
+// the advection/diffusion CFL bound (MfgParams::CflSubstepsFor).
+struct CflSubsteps {
+  double dt = 0.0;         // Output step T / num_time_steps.
+  double diffusion = 0.0;  // ½ ϱ_q².
+  std::size_t count = 1;   // Substeps per output step (>= 1).
+  double dt_sub = 0.0;     // dt / count.
+};
+
+// The control-independent drift terms of Eq. 4 at one time node.
+struct NodeDriftTerms {
+  double retention = 0.0;  // w2·Π(t_n).
+  double discard = 0.0;    // w3·ξ^{L(t_n)}.
+};
+
 struct MfgParams {
   // --- Model -------------------------------------------------------------
   double horizon = 1.0;          // T (paper: 1).
@@ -147,9 +163,20 @@ struct MfgParams {
   // Same, with the time-node profiles applied (Π(t_n), L(t_n)).
   double CacheDriftAtNode(double x, double q, std::size_t node) const;
 
+  // retention and discard at time node `node`. Every 1-D solver (scalar
+  // and batched, HJB and FPK) takes its per-node drift terms from here.
+  NodeDriftTerms DriftTermsAt(std::size_t node) const;
+
   // Conservative bound on |drift| over the horizon (accounts for the
   // profiles); the CFL speed used by the explicit schemes.
   double MaxAbsDriftSpeed() const;
+
+  // The sub-stepping of the 1-D explicit sweeps on q-spacing dx:
+  //   count = max(1, ⌈dt / StableTimeStep(dx, MaxAbsDriftSpeed(), ½ϱ_q²,
+  //                                       cfl_safety)⌉).
+  // The one place the 1-D stack applies the CFL bound (the 2-D solvers
+  // bound both axes themselves).
+  CflSubsteps CflSubstepsFor(double dx) const;
 
   // The case model built from (α, l).
   common::StatusOr<econ::CaseModel> MakeCaseModel() const;

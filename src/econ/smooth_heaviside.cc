@@ -1,7 +1,5 @@
 #include "econ/smooth_heaviside.h"
 
-#include <cmath>
-
 namespace mfg::econ {
 
 common::StatusOr<SmoothHeaviside> SmoothHeaviside::Create(double sharpness) {
@@ -10,16 +8,6 @@ common::StatusOr<SmoothHeaviside> SmoothHeaviside::Create(double sharpness) {
         "smooth heaviside sharpness must be positive");
   }
   return SmoothHeaviside(sharpness);
-}
-
-double SmoothHeaviside::operator()(double x) const {
-  // Numerically stable logistic: avoid overflow of exp for large |x|.
-  const double z = 2.0 * sharpness_ * x;
-  if (z >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-z));
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
 }
 
 double SmoothHeaviside::Derivative(double x) const {

@@ -1,6 +1,8 @@
 #ifndef MFGCP_ECON_SMOOTH_HEAVISIDE_H_
 #define MFGCP_ECON_SMOOTH_HEAVISIDE_H_
 
+#include <cmath>
+
 #include "common/status.h"
 
 // The paper's smooth approximation of the Heaviside step function,
@@ -11,13 +13,25 @@
 
 namespace mfg::econ {
 
+// f(x) with sharpness l, in the numerically stable form (exp never
+// overflows for large |x|). SmoothHeaviside::operator() and the batched
+// HJB lane tables both evaluate it here, so they produce the same bits.
+inline double Logistic(double sharpness, double x) {
+  const double z = 2.0 * sharpness * x;
+  if (z >= 0.0) {
+    return 1.0 / (1.0 + std::exp(-z));
+  }
+  const double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
 class SmoothHeaviside {
  public:
   // Fails on sharpness l <= 0.
   static common::StatusOr<SmoothHeaviside> Create(double sharpness);
 
   // f(x) ∈ (0, 1); f(0) = 1/2; increasing in x.
-  double operator()(double x) const;
+  double operator()(double x) const { return Logistic(sharpness_, x); }
 
   // f'(x) = 2 l e^{-2 l x} (1 + e^{-2 l x})^{-2}; maximal at x = 0.
   double Derivative(double x) const;

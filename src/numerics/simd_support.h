@@ -1,26 +1,19 @@
 #ifndef MFGCP_NUMERICS_SIMD_SUPPORT_H_
 #define MFGCP_NUMERICS_SIMD_SUPPORT_H_
 
-// Opt-in explicit SIMD layer for the batched kernels.
-//
-// The default build relies on auto-vectorization of the unit-stride lane
-// loops. Configuring with -DMFGCP_SIMD=ON defines MFGCP_SIMD_ENABLED=1 and
-// routes the batch kernel inner loops through std::experimental::simd. The
-// CMake toggle also forces -ffp-contract=off project-wide: the batched/
-// scalar bit-identity contract (solver_equivalence_test,
-// batch_equivalence_test) forbids fused multiply-add contraction, which any
-// -march flag enabling FMA would otherwise introduce.
+#include <bit>
+#include <cstdint>
 
-#ifndef MFGCP_SIMD_ENABLED
-#define MFGCP_SIMD_ENABLED 0
-#endif
+#include "common/build_info.h"
 
 // Runtime ISA dispatch for the auto-vectorized batch kernels. The project
 // targets baseline x86-64 (SSE2, two doubles per vector); annotating a hot
 // kernel with MFGCP_BATCH_TARGET_CLONES compiles it three times — baseline,
 // AVX2 (four lanes), AVX-512F (eight lanes) — and GCC's ifunc resolver picks
 // the widest one the CPU supports at load time. No -march flag, so the
-// binary stays runnable on any x86-64.
+// binary stays runnable on any x86-64. Whether a build carries the clones
+// is decided once, by MFGCP_BATCH_CLONES in common/build_info.h; without
+// them every kernel is the baseline loop.
 //
 // Bit-identity survives the wider clones for two reasons: the lane loops do
 // element-wise IEEE arithmetic only (vector width never changes a result,
@@ -28,21 +21,12 @@
 // CMakeLists forces -ffp-contract=off project-wide so the AVX-512 clone —
 // whose ISA embeds fused multiply-add — cannot contract a*b+c into one
 // rounding where the scalar solvers round twice.
-//
-// The macro is empty under MFGCP_SIMD: the explicit std::experimental::simd
-// bodies fix native_simd's width at TU compile time, and cloning a function
-// that uses them would mix vector ABIs. It is also empty off x86-64/GCC
-// (target_clones + ifunc is a GCC/glibc mechanism).
-#if !MFGCP_SIMD_ENABLED && defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__clang__)
+#if MFGCP_BATCH_CLONES
 #define MFGCP_BATCH_TARGET_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
 #else
 #define MFGCP_BATCH_TARGET_CLONES
 #endif
-
-#include <bit>
-#include <cstdint>
 
 namespace mfg::numerics {
 
@@ -61,15 +45,5 @@ inline double LaneSelect(double mask, double a, double b) {
 }
 
 }  // namespace mfg::numerics
-
-#if MFGCP_SIMD_ENABLED
-#include <experimental/simd>
-
-namespace mfg::numerics {
-namespace stdx = std::experimental;
-using SimdDouble = stdx::native_simd<double>;
-inline constexpr std::size_t kSimdWidth = SimdDouble::size();
-}  // namespace mfg::numerics
-#endif  // MFGCP_SIMD_ENABLED
 
 #endif  // MFGCP_NUMERICS_SIMD_SUPPORT_H_

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "numerics/simd_support.h"
-
 namespace mfg::numerics {
 namespace {
 
@@ -17,60 +15,6 @@ common::Status ValidateShape(const TridiagonalSystem& s) {
         "tridiagonal bands and rhs must all have the same length");
   }
   return common::Status::Ok();
-}
-
-// Whole batched Thomas pass as a free function over plain pointers: GCC only
-// honors __restrict reliably on function parameters (not on restrict-qualified
-// locals), and without it the elimination loop's stores to cp/dp/mark defeat
-// vectorization of the loads from the band arrays.
-MFGCP_BATCH_TARGET_CLONES
-void BatchThomas(std::size_t n, std::size_t m, const double* lower,
-                 const double* diag, const double* upper, const double* rhs,
-                 double* __restrict cp, double* __restrict dp,
-                 double* __restrict xd, double* __restrict mark) {
-  // The elimination is written in select form (never a branch): a
-  // per-element branch on the pivot magnitude keeps the whole lane loop
-  // from vectorizing, while selects become vector blends. The selected
-  // values are exactly the scalar solver's — substitute pivot 1.0 and
-  // record the first singular row. The row record lives in `mark` as a
-  // double (small row indices are exact) so the loop stays single-vectype;
-  // the select always stores, which every ISA clone can vectorize where a
-  // conditional store cannot.
-  for (std::size_t l = 0; l < m; ++l) {
-    const double pivot = diag[l];
-    const bool singular = std::fabs(pivot) < 1e-300;
-    mark[l] = singular ? 0.0 : -1.0;
-    const double safe = singular ? 1.0 : pivot;
-    cp[l] = upper[l] / safe;
-    dp[l] = rhs[l] / safe;
-  }
-
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t row = i * m;
-    const std::size_t prev = (i - 1) * m;
-    const double row_index = static_cast<double>(i);
-    for (std::size_t l = 0; l < m; ++l) {
-      const double pivot = diag[row + l] - lower[row + l] * cp[prev + l];
-      const bool singular = std::fabs(pivot) < 1e-300;
-      // Non-short-circuit & : || and && reintroduce the control flow this
-      // loop exists to avoid.
-      const bool fresh = mark[l] < 0.0;
-      mark[l] = (singular & fresh) ? row_index : mark[l];
-      const double safe = singular ? 1.0 : pivot;
-      cp[row + l] = upper[row + l] / safe;
-      dp[row + l] = (rhs[row + l] - lower[row + l] * dp[prev + l]) / safe;
-    }
-  }
-
-  const std::size_t last = (n - 1) * m;
-  for (std::size_t l = 0; l < m; ++l) xd[last + l] = dp[last + l];
-  for (std::size_t i = n - 1; i-- > 0;) {
-    const std::size_t row = i * m;
-    const std::size_t next = (i + 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      xd[row + l] = dp[row + l] - cp[row + l] * xd[next + l];
-    }
-  }
 }
 
 }  // namespace
@@ -109,28 +53,6 @@ common::Status SolveTridiagonalInto(const TridiagonalSystem& system,
     x[i] = d_prime[i] - c_prime[i] * x[i + 1];
   }
   return common::Status::Ok();
-}
-
-void SolveTridiagonalBatchInto(const BatchTridiagonalSystem& system,
-                               BatchTridiagonalWorkspace& workspace,
-                               BatchField& x,
-                               std::span<std::ptrdiff_t> singular_row) {
-  const std::size_t n = system.diag.nodes();
-  const std::size_t m = system.diag.lanes();
-
-  workspace.c_prime.Assign(n, m, 0.0);
-  workspace.d_prime.Assign(n, m, 0.0);
-  workspace.singular_mark.assign(m, -1.0);
-  x.Assign(n, m, 0.0);
-
-  BatchThomas(n, m, system.lower.data(), system.diag.data(),
-              system.upper.data(), system.rhs.data(),
-              workspace.c_prime.data(), workspace.d_prime.data(), x.data(),
-              workspace.singular_mark.data());
-
-  for (std::size_t l = 0; l < m; ++l) {
-    singular_row[l] = static_cast<std::ptrdiff_t>(workspace.singular_mark[l]);
-  }
 }
 
 common::StatusOr<std::vector<double>> SolveTridiagonal(

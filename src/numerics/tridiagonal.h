@@ -1,15 +1,14 @@
 #ifndef MFGCP_NUMERICS_TRIDIAGONAL_H_
 #define MFGCP_NUMERICS_TRIDIAGONAL_H_
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
-#include "numerics/batch_field.h"
 
-// Thomas-algorithm solver for tridiagonal linear systems, the kernel of the
-// implicit time-stepping options in the HJB/FPK solvers.
+// Thomas-algorithm solver for tridiagonal linear systems, the kernel of
+// FpkSolver1D's implicit (backward-Euler) stepping. Implicit FPK is not
+// batched: the epoch path solves grid.implicit_fpk contents on the scalar
+// learner.
 
 namespace mfg::numerics {
 
@@ -42,43 +41,6 @@ common::Status SolveTridiagonalInto(const TridiagonalSystem& system,
 // Allocating convenience wrapper around SolveTridiagonalInto.
 common::StatusOr<std::vector<double>> SolveTridiagonal(
     const TridiagonalSystem& system);
-
-// ---------------------------------------------------------------------------
-// Content-batched (structure-of-arrays) Thomas solver.
-//
-// Solves lanes() independent tridiagonal systems in lockstep: band entry
-// (i, l) belongs to lane l's system. The per-lane arithmetic is the scalar
-// Thomas recurrence verbatim, so a clean lane's solution is bit-identical
-// to SolveTridiagonalInto on that lane's system.
-// ---------------------------------------------------------------------------
-
-struct BatchTridiagonalSystem {
-  BatchField lower;
-  BatchField diag;
-  BatchField upper;
-  BatchField rhs;
-};
-
-struct BatchTridiagonalWorkspace {
-  BatchField c_prime;
-  BatchField d_prime;
-  // First-singular-row tracker, kept in the double domain during the
-  // elimination so the lane loop stays a single-vectype double loop
-  // (−1.0 = clean; converted to singular_row's ptrdiff_t on exit).
-  std::vector<double> singular_mark;
-};
-
-// Writes lane solutions into `x` (Assign-ed to system shape; steady-state
-// callers keep capacity so no allocation happens). singular_row must have
-// at least lanes() entries; on return singular_row[l] is the first row where
-// lane l hit an (effectively) singular pivot, or -1 when the lane solved
-// cleanly. A singular lane keeps eliminating with a substitute pivot so the
-// other lanes are unaffected; its x values are meaningless and the caller
-// must discard them (the scalar path fails the whole solve instead).
-void SolveTridiagonalBatchInto(const BatchTridiagonalSystem& system,
-                               BatchTridiagonalWorkspace& workspace,
-                               BatchField& x,
-                               std::span<std::ptrdiff_t> singular_row);
 
 // Multiplies the tridiagonal matrix by x (for residual checks in tests).
 common::StatusOr<std::vector<double>> TridiagonalApply(

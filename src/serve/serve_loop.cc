@@ -150,8 +150,7 @@ common::StatusOr<std::unique_ptr<ServeLoop>> ServeLoop::Create(
   if (resolved.admin_port >= 0 && !obs::AdminExporter::Global().active()) {
     obs::ExporterOptions admin;
     admin.port = resolved.admin_port;
-    admin.epochz_capacity =
-        resolved.epochz_capacity == 0 ? 64 : resolved.epochz_capacity;
+    admin.epochz_capacity = resolved.epochz_capacity;
     if (auto status = obs::AdminExporter::Global().Start(admin);
         !status.ok()) {
       return status;

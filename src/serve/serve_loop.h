@@ -96,7 +96,8 @@ struct ServeOptions {
   // record per publication. Negative leaves the admin plane untouched.
   // Inert when built with -DMFGCP_OBS=OFF (plain fields, no obs types).
   int admin_port = -1;
-  // /epochz ring capacity when this loop starts the exporter.
+  // /epochz ring capacity when this loop starts the exporter; 0 fails
+  // Create (AdminExporter::Start rejects an empty ring).
   std::size_t epochz_capacity = 64;
   // Called on the *planner thread* after every completed plan round with
   // the live plan buffer and its health report, before publication. The

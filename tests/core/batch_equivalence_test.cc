@@ -5,10 +5,10 @@
 // scalar expression tree on lane-l data, so every active lane's result is
 // bitwise equal to the scalar solver's — at every batch width, for
 // heterogeneous lanes (different content sizes mean different grid
-// spacings and CFL substep counts per lane), for both FPK stepping
-// schemes, and through the whole epoch pipeline (PlanEpochInto with
-// batch_width 1 vs >1, catalogs that do not divide the block size, and
-// parallelism 1 vs 2).
+// spacings and CFL substep counts per lane), and through the whole epoch
+// pipeline (PlanEpochInto with batch_width 1 vs >1, catalogs that do not
+// divide the block size, parallelism 1 vs 2, and implicit FPK, which the
+// epoch path solves on the scalar block body at every width).
 
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
@@ -104,7 +104,7 @@ TEST_P(BatchSolverTest, HjbBatchMatchesScalarBitwise) {
   }
 }
 
-void CheckFpkBatch(std::size_t lanes, bool implicit) {
+void CheckFpkBatch(std::size_t lanes) {
   FpkBatchSolver batch;
   batch.Reset(lanes);
   std::vector<numerics::Density1D> initials;
@@ -112,8 +112,7 @@ void CheckFpkBatch(std::size_t lanes, bool implicit) {
   std::vector<FpkSolution> solutions(lanes);
   std::vector<FpkBatchSolver::LaneIo> io(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    MfgParams params = LaneParams(l);
-    params.grid.implicit_fpk = implicit;
+    const MfgParams params = LaneParams(l);
     ASSERT_TRUE(batch.BindLane(l, params).ok()) << "lane " << l;
     auto scalar = FpkSolver1D::Create(params).value();
     initials.push_back(scalar.MakeInitialDensity().value());
@@ -141,9 +140,7 @@ void CheckFpkBatch(std::size_t lanes, bool implicit) {
   for (std::size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE(::testing::Message() << "lane " << l);
     ASSERT_TRUE(io[l].status.ok());
-    MfgParams params = LaneParams(l);
-    params.grid.implicit_fpk = implicit;
-    auto scalar = FpkSolver1D::Create(params).value();
+    auto scalar = FpkSolver1D::Create(LaneParams(l)).value();
     const FpkSolution expected =
         scalar.Solve(initials[l], policies[l]).value();
     ASSERT_EQ(solutions[l].densities.size(), expected.densities.size());
@@ -156,11 +153,24 @@ void CheckFpkBatch(std::size_t lanes, bool implicit) {
 }
 
 TEST_P(BatchSolverTest, FpkBatchExplicitMatchesScalarBitwise) {
-  CheckFpkBatch(GetParam(), /*implicit=*/false);
+  CheckFpkBatch(GetParam());
 }
 
-TEST_P(BatchSolverTest, FpkBatchImplicitMatchesScalarBitwise) {
-  CheckFpkBatch(GetParam(), /*implicit=*/true);
+// Only explicit FPK is batched: an implicit lane fails BindLane loudly,
+// first in its block or after explicit lanes, instead of silently stepping
+// explicitly (the epoch path solves implicit FPK on the scalar block body;
+// see BatchEpochEquivalenceTest.BatchWidthsProduceIdenticalPlans).
+TEST_P(BatchSolverTest, FpkBatchRejectsImplicitLane) {
+  const std::size_t lanes = GetParam();
+  FpkBatchSolver batch;
+  batch.Reset(lanes);
+  for (std::size_t l = 0; l + 1 < lanes; ++l) {
+    ASSERT_TRUE(batch.BindLane(l, LaneParams(l)).ok()) << "lane " << l;
+  }
+  MfgParams implicit = LaneParams(lanes - 1);
+  implicit.grid.implicit_fpk = true;
+  EXPECT_EQ(batch.BindLane(lanes - 1, implicit).code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 TEST_P(BatchSolverTest, BestResponseBatchMatchesScalarBitwise) {
@@ -286,9 +296,11 @@ TEST(BatchSolverTest, InvalidLaneFailsBindWithoutAffectingOthers) {
 std::vector<EpochPlanBuffer> RunEpochs(std::size_t num_contents,
                                        std::size_t parallelism,
                                        std::size_t batch_width,
-                                       std::size_t epochs) {
+                                       std::size_t epochs,
+                                       bool implicit_fpk = false) {
   MfgCpOptions options = FastOptions(parallelism);
   options.batch_width = batch_width;
+  options.base_params.grid.implicit_fpk = implicit_fpk;
   auto framework = MakeFramework(num_contents, parallelism, &options);
   std::vector<EpochPlanBuffer> out;
   EpochPlanBuffer buffer;
@@ -305,16 +317,22 @@ std::vector<EpochPlanBuffer> RunEpochs(std::size_t num_contents,
 TEST(BatchEpochEquivalenceTest, BatchWidthsProduceIdenticalPlans) {
   // 11 active contents: does not divide any tested width, so the last
   // block is a remainder batch (3 lanes at width 8, 2 at width 3).
+  // Implicit FPK runs on the scalar block body at every width.
   const std::size_t k = 11;
-  const std::vector<EpochPlanBuffer> scalar = RunEpochs(k, 1, 1, 2);
-  for (std::size_t width : {std::size_t{2}, std::size_t{3}, std::size_t{8},
-                            std::size_t{16}}) {
-    SCOPED_TRACE(::testing::Message() << "batch_width " << width);
-    const std::vector<EpochPlanBuffer> batched = RunEpochs(k, 1, width, 2);
-    ASSERT_EQ(batched.size(), scalar.size());
-    for (std::size_t epoch = 0; epoch < scalar.size(); ++epoch) {
-      SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
-      ExpectPlanBuffersIdentical(batched[epoch], scalar[epoch]);
+  for (bool implicit_fpk : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "implicit_fpk " << implicit_fpk);
+    const std::vector<EpochPlanBuffer> scalar =
+        RunEpochs(k, 1, 1, 2, implicit_fpk);
+    for (std::size_t width : {std::size_t{2}, std::size_t{3},
+                              std::size_t{8}, std::size_t{16}}) {
+      SCOPED_TRACE(::testing::Message() << "batch_width " << width);
+      const std::vector<EpochPlanBuffer> batched =
+          RunEpochs(k, 1, width, 2, implicit_fpk);
+      ASSERT_EQ(batched.size(), scalar.size());
+      for (std::size_t epoch = 0; epoch < scalar.size(); ++epoch) {
+        SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
+        ExpectPlanBuffersIdentical(batched[epoch], scalar[epoch]);
+      }
     }
   }
 }

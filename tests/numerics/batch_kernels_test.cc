@@ -4,8 +4,7 @@
 // This is the contract the batched solvers build on — see batch_field.h.
 //
 // Lanes are deliberately heterogeneous (different dx, different sample
-// curves, mixed upwind velocity signs) so a lane mix-up or cross-lane
-// arithmetic cannot cancel out.
+// curves) so a lane mix-up or cross-lane arithmetic cannot cancel out.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 
 #include "numerics/batch_field.h"
 #include "numerics/finite_difference.h"
-#include "numerics/tridiagonal.h"
 
 namespace mfg::numerics {
 namespace {
@@ -40,14 +38,6 @@ double Sample(std::size_t node, std::size_t lane) {
   return std::sin(0.31 * x + 0.7 * l) + 0.01 * (l + 1.0) * x * x;
 }
 
-// Velocity with sign changes at lane-dependent positions, exercising both
-// upwind branches in every lane.
-double Velocity(std::size_t node, std::size_t lane) {
-  const double x = static_cast<double>(node);
-  const double l = static_cast<double>(lane);
-  return std::cos(0.17 * x + 1.3 * l) - 0.1 * l;
-}
-
 std::vector<double> LaneSpacings(std::size_t lanes) {
   std::vector<double> dx(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -68,14 +58,6 @@ std::vector<double> InvDx(const std::vector<double>& dx) {
 std::vector<double> Inv2Dx(const std::vector<double>& dx) {
   std::vector<double> inv(dx.size());
   for (std::size_t l = 0; l < dx.size(); ++l) inv[l] = 1.0 / (2.0 * dx[l]);
-  return inv;
-}
-
-std::vector<double> InvDx2(const std::vector<double>& dx) {
-  std::vector<double> inv(dx.size());
-  for (std::size_t l = 0; l < dx.size(); ++l) {
-    inv[l] = 1.0 / (dx[l] * dx[l]);
-  }
   return inv;
 }
 
@@ -120,143 +102,11 @@ TEST_P(BatchKernelsTest, GradientMatchesScalarPerLane) {
   }
 }
 
-TEST_P(BatchKernelsTest, UpwindGradientMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 57;
-  const std::vector<double> dx = LaneSpacings(lanes);
-  const BatchField f = Scatter(nodes, lanes, &Sample);
-  const BatchField velocity = Scatter(nodes, lanes, &Velocity);
-  BatchField out;
-  out.Assign(nodes, lanes);
-  UpwindGradientBatchInto(InvDx(dx), f, velocity, out);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    // The scenario must exercise both upwind branches in this lane.
-    const std::vector<double> lane_v = GatherLane(velocity, l);
-    bool positive = false;
-    bool non_positive = false;
-    for (double v : lane_v) (v > 0.0 ? positive : non_positive) = true;
-    EXPECT_TRUE(positive && non_positive) << "lane " << l;
-
-    const std::vector<double> lane_f = GatherLane(f, l);
-    std::vector<double> expected(nodes);
-    UpwindGradientInto(dx[l], lane_f, lane_v, expected);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(out.at(i, l), expected[i], i, l);
-    }
-  }
-}
-
-TEST_P(BatchKernelsTest, SecondDerivativeMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 57;
-  const std::vector<double> dx = LaneSpacings(lanes);
-  const BatchField f = Scatter(nodes, lanes, &Sample);
-  BatchField out;
-  out.Assign(nodes, lanes);
-  SecondDerivativeBatchInto(InvDx2(dx), f, out);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::vector<double> lane_f = GatherLane(f, l);
-    std::vector<double> expected(nodes);
-    SecondDerivativeInto(dx[l], lane_f, expected);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(out.at(i, l), expected[i], i, l);
-    }
-  }
-}
-
-// Diagonally dominant lane systems with lane-dependent bands.
-BatchTridiagonalSystem MakeBatchSystem(std::size_t nodes, std::size_t lanes) {
-  BatchTridiagonalSystem system;
-  system.lower.Assign(nodes, lanes);
-  system.diag.Assign(nodes, lanes);
-  system.upper.Assign(nodes, lanes);
-  system.rhs.Assign(nodes, lanes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double li = static_cast<double>(l + 1);
-      system.lower.at(i, l) = -0.4 * std::sin(0.5 * i + li);
-      system.upper.at(i, l) = -0.3 * std::cos(0.4 * i - li);
-      system.diag.at(i, l) = 2.0 + 0.1 * li + 0.05 * std::sin(1.1 * i);
-      system.rhs.at(i, l) = Sample(i, l);
-    }
-  }
-  return system;
-}
-
-TridiagonalSystem GatherLaneSystem(const BatchTridiagonalSystem& system,
-                                   std::size_t lane) {
-  TridiagonalSystem out;
-  out.lower = GatherLane(system.lower, lane);
-  out.diag = GatherLane(system.diag, lane);
-  out.upper = GatherLane(system.upper, lane);
-  out.rhs = GatherLane(system.rhs, lane);
-  return out;
-}
-
-TEST_P(BatchKernelsTest, TridiagonalMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 41;
-  const BatchTridiagonalSystem system = MakeBatchSystem(nodes, lanes);
-  BatchTridiagonalWorkspace workspace;
-  BatchField x;
-  std::vector<std::ptrdiff_t> singular(lanes, 0);
-  SolveTridiagonalBatchInto(system, workspace, x, singular);
-
-  TridiagonalWorkspace scalar_ws;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    EXPECT_EQ(singular[l], -1) << "lane " << l;
-    const TridiagonalSystem lane_system = GatherLaneSystem(system, l);
-    std::vector<double> expected;
-    ASSERT_TRUE(
-        SolveTridiagonalInto(lane_system, scalar_ws, expected).ok());
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(x.at(i, l), expected[i], i, l);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Widths, BatchKernelsTest,
                          ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
                            return "K" + std::to_string(info.param);
                          });
-
-TEST(BatchTridiagonalTest, SingularLaneDoesNotPerturbHealthyLanes) {
-  const std::size_t nodes = 23;
-  const std::size_t lanes = 4;
-  BatchTridiagonalSystem system = MakeBatchSystem(nodes, lanes);
-  // Lane 2 hits a hard zero pivot at row 7; the scalar solver would fail
-  // the whole solve there.
-  system.diag.at(7, 2) = 0.0;
-  system.lower.at(7, 2) = 0.0;
-
-  BatchTridiagonalWorkspace workspace;
-  BatchField x;
-  std::vector<std::ptrdiff_t> singular(lanes, 0);
-  SolveTridiagonalBatchInto(system, workspace, x, singular);
-
-  EXPECT_EQ(singular[2], 7);
-  TridiagonalWorkspace scalar_ws;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (l == 2) continue;  // This lane's x values are documented garbage.
-    EXPECT_EQ(singular[l], -1) << "lane " << l;
-    const TridiagonalSystem lane_system = GatherLaneSystem(system, l);
-    std::vector<double> expected;
-    ASSERT_TRUE(
-        SolveTridiagonalInto(lane_system, scalar_ws, expected).ok());
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(x.at(i, l), expected[i], i, l);
-    }
-  }
-  // The scalar solver confirms lane 2 really was singular.
-  TridiagonalWorkspace failing_ws;
-  std::vector<double> unused;
-  EXPECT_FALSE(
-      SolveTridiagonalInto(GatherLaneSystem(system, 2), failing_ws, unused)
-          .ok());
-}
 
 TEST(BatchFieldTest, AssignReusesCapacity) {
   BatchField field;

@@ -179,6 +179,15 @@ TEST(ServeLoopDeadlineTest, CreateRejectsBadOptions) {
   options = SmallServeOptions();
   options.clock.tick_ms = 0.0;
   EXPECT_FALSE(ServeLoop::Create(options).ok());
+
+#if MFGCP_OBS_ENABLED
+  // An empty /epochz ring is rejected, not resized (the admin plane is
+  // inert in obs-off builds).
+  options = SmallServeOptions();
+  options.admin_port = 0;
+  options.epochz_capacity = 0;
+  EXPECT_FALSE(ServeLoop::Create(options).ok());
+#endif
 }
 
 TEST(ServeLoopDeadlineTest, RunRejectsAnEmptyStream) {
