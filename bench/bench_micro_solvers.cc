@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the numerical kernels: one backward
-// HJB sweep, one forward FPK sweep, the mean-field estimator, a full
+// HJB sweep, one forward FPK sweep, the mean-field estimator (scalar and
+// lane-parallel), a full
 // best-response solve, an end-to-end 64-content PlanEpoch, and one
 // simulator slot. These are the budgets behind Table II's "MFG-CP
 // computation time does not increase with M".
@@ -202,7 +203,54 @@ void BM_MeanFieldEstimate(benchmark::State& state) {
         estimator.EstimateInto(density, policy, workspace, out));
   });
 }
-BENCHMARK(BM_MeanFieldEstimate)->Arg(101)->Arg(401);
+BENCHMARK(BM_MeanFieldEstimate)->Arg(41)->Arg(101)->Arg(401);
+
+// Lane-parallel estimator: one time node of K contents at nq = 41 (the
+// repo benchmark's planner grid) from [node][lane] density rows, the
+// learner's per-node call. Lanes differ in content size, so each has its
+// own grid spacing and α·Q_k split. `per_content` is the time per
+// content-estimate, comparable with BM_MeanFieldEstimate/41's per call.
+void BM_MeanFieldEstimateBatch(benchmark::State& state) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kNodes = 41;
+  core::MeanFieldBatchEstimator batch;
+  batch.Reset(lanes);
+  std::vector<double> rows(kNodes * lanes);
+  std::vector<double> policy(kNodes, 0.5);
+  std::vector<core::MeanFieldQuantities> out(lanes);
+  std::vector<core::MeanFieldBatchEstimator::LaneIo> io(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    core::MfgParams params = Params(kNodes, 100);
+    params.content_size = 60.0 + 10.0 * static_cast<double>(l);
+    const auto estimator = core::MeanFieldEstimator::Create(params).value();
+    MFG_CHECK(batch.BindLane(l, estimator).ok());
+    const auto density = core::FpkSolver1D::Create(params)
+                             .value()
+                             .MakeInitialDensity()
+                             .value();
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      rows[i * lanes + l] = density.values()[i];
+    }
+    io[l].policy = policy;
+    io[l].out = &out[l];
+    io[l].active = true;
+  }
+  core::MeanFieldBatchEstimator::Workspace workspace;
+  batch.EstimateInto(rows, io, workspace);  // Warm-up.
+  LoopCountingAllocs(state, [&] {
+    batch.EstimateInto(rows, io, workspace);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  });
+  state.counters["batch_width"] = static_cast<double>(lanes);
+  state.counters["per_content"] = benchmark::Counter(
+      static_cast<double>(lanes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lanes));
+}
+BENCHMARK(BM_MeanFieldEstimateBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_BestResponseSolve(benchmark::State& state) {
   core::MfgParams params =

@@ -15,22 +15,42 @@
 
 namespace mfg::core {
 
+namespace {
+
+// The running max of term(k) over k < total, from 0.0. Eight independent
+// accumulators let the loop vectorize; the result is the single running
+// max's, bit for bit, because max is exact and order-free here: every term
+// is |x| (so no −0.0) and std::max(acc, NaN) keeps acc, so a NaN term is
+// skipped whichever accumulator sees it.
+template <typename Term>
+double RunningMax(std::size_t total, Term term) {
+  constexpr std::size_t kWays = 8;
+  double acc[kWays] = {};
+  std::size_t k = 0;
+  for (; k + kWays <= total; k += kWays) {
+    for (std::size_t j = 0; j < kWays; ++j) {
+      acc[j] = std::max(acc[j], term(k + j));
+    }
+  }
+  for (; k < total; ++k) acc[0] = std::max(acc[0], term(k));
+  double result = 0.0;
+  for (double a : acc) result = std::max(result, a);
+  return result;
+}
+
+}  // namespace
+
 double MaxAbsDifference(const numerics::TimeField2D& a,
                         const numerics::TimeField2D& b) {
   const double* pa = a.data();
   const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
   if (b.size() * b.cols() == total) {
     const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
+    return RunningMax(total, [pa, pb](std::size_t k) {
+      return std::fabs(pa[k] - pb[k]);
+    });
   }
-  return max_diff;
+  return RunningMax(total, [pa](std::size_t k) { return std::fabs(pa[k]); });
 }
 
 void ResetEquilibrium(Equilibrium& eq) {
@@ -60,16 +80,16 @@ bool RelaxPolicy(const LearningParams& learning, std::size_t content_id,
                  HjbSolution& hjb_buffer,
                  std::vector<MeanFieldQuantities>& mean_field,
                  Equilibrium& eq) {
-  double max_change = 0.0;
   const double gamma = learning.relaxation;
   double* p = policy.data();
   const double* h = hjb_buffer.policy.data();
-  const std::size_t total = policy.size() * policy.cols();
-  for (std::size_t k = 0; k < total; ++k) {
-    const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-    max_change = std::max(max_change, std::fabs(updated - p[k]));
-    p[k] = updated;
-  }
+  const double max_change = RunningMax(
+      policy.size() * policy.cols(), [p, h, gamma](std::size_t k) {
+        const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
+        const double change = std::fabs(updated - p[k]);
+        p[k] = updated;
+        return change;
+      });
   eq.policy_change_history.push_back(max_change);
   // Value residual vs the previous iteration's surface (still held in
   // eq.hjb until the swap below).

@@ -44,6 +44,7 @@ void BatchBestResponseLearner::Reset(std::size_t num_lanes) {
   bound_lanes_ = 0;
   hjb_.Reset(num_lanes);
   fpk_.Reset(num_lanes);
+  batch_estimator_.Reset(num_lanes);
   estimators_.resize(num_lanes);
   learning_.resize(num_lanes);
   content_id_.resize(num_lanes);
@@ -65,6 +66,7 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
                          MeanFieldEstimator::Create(params));
     estimators_[lane].emplace(std::move(estimator));
   }
+  MFG_RETURN_IF_ERROR(batch_estimator_.BindLane(lane, *estimators_[lane]));
   if (bound_lanes_ == 0) {
     nq_ = params.grid.num_q_nodes;
     nt_ = params.grid.num_time_steps;
@@ -84,6 +86,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   const std::size_t nq = nq_;
 
   ws.lanes.resize(m);
+  ws.estimator_io.resize(m);
   ws.hjb_io.resize(m);
   ws.fpk_io.resize(m);
   ws.running.assign(m, 0);
@@ -141,6 +144,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   for (std::size_t iter = 1;; ++iter) {
     bool any = false;
     for (std::size_t l = 0; l < m; ++l) {
+      ws.estimator_io[l].active = false;
       ws.hjb_io[l].active = false;
       ws.fpk_io[l].active = false;
       if (!ws.running[l]) continue;
@@ -148,18 +152,31 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
         ws.running[l] = 0;
         continue;
       }
-      LaneJob& job = lanes[l];
-      LaneScratch& lane = ws.lanes[l];
-      Equilibrium& eq = *job.out;
-      eq.iterations = iter;
+      lanes[l].out->iterations = iter;
+      ws.lanes[l].mean_field.resize(nt + 1);
+      ws.estimator_io[l].active = true;
+      any = true;
+    }
+    if (!any) break;
 
-      // (1) Mean-field quantities per time node from (λ, x).
-      job.status = EstimateMeanFieldInto(*estimators_[l], eq.fpk, lane.policy,
-                                         lane.estimator, lane.mean_field);
-      // (2) Backward HJB -> candidate best response.
-      if (job.status.ok()) {
-        job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
+    // (1) Mean-field quantities per time node from (λ, x), every lane at
+    // once.
+    for (std::size_t n = 0; n <= nt; ++n) {
+      for (std::size_t l = 0; l < m; ++l) {
+        if (!ws.estimator_io[l].active) continue;
+        ws.estimator_io[l].policy = ws.lanes[l].policy[n];
+        ws.estimator_io[l].out = &ws.lanes[l].mean_field[n];
       }
+      batch_estimator_.EstimateInto(fpk_.DensityRows(ws.fpk, n),
+                                    ws.estimator_io, ws.estimator);
+    }
+
+    // (2) Backward HJB -> candidate best response.
+    any = false;
+    for (std::size_t l = 0; l < m; ++l) {
+      if (!ws.estimator_io[l].active) continue;
+      LaneJob& job = lanes[l];
+      job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
       if (!job.status.ok()) {
         ws.running[l] = 0;
         continue;

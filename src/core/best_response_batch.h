@@ -14,16 +14,21 @@
 #include "core/mfg_params.h"
 
 // Content-batched counterpart of BestResponseLearner: runs Alg. 2 for K
-// contents (the lanes) in lockstep, delegating the HJB/FPK sweeps to the
-// SoA batch solvers so the per-node inner loops vectorize across lanes.
+// contents (the lanes) in lockstep, delegating the mean-field estimate and
+// the HJB/FPK sweeps to the SoA batch layer so the per-node inner loops
+// vectorize across lanes. The estimate reads each time node's density
+// rows straight from the FPK batch workspace (FpkBatchSolver::DensityRows):
+// every lane still in the loop took part in the last FPK sweep, so those
+// rows are its current λ. The post-loop mean-field refresh stays per lane
+// on eq.fpk, since a lane that converged skipped the last sweep.
 //
 // Bit-identity contract (guarded by batch_equivalence_test and the epoch
 // goldens): lane l performs the exact per-iteration sequence of
 // BestResponseLearner::SolveInto on lane-l data — estimate, HJB, relaxed
 // update, residual bookkeeping, FPK — with no cross-lane arithmetic, so
 // its Equilibrium is bitwise equal to the scalar learner's; the reset,
-// mean-field estimate, relaxed update and epilogue are the scalar
-// learner's own helpers (best_response.h). Lanes may converge at
+// relaxed update and epilogue are the scalar learner's own helpers
+// (best_response.h). Lanes may converge at
 // different iterations; a converged lane simply drops out of the lockstep
 // loop (and, exactly like the scalar `break`, skips the final FPK), while
 // a lane that exhausts max_iterations unconverged still runs the trailing
@@ -48,7 +53,8 @@ namespace mfg::core {
 class BatchBestResponseLearner {
  public:
   // Per-lane solve state mirroring BestResponseLearner::Workspace (minus
-  // the sub-solver scratch, which lives batch-wide below).
+  // the sub-solver scratch, which lives batch-wide below; `estimator` is
+  // the final refresh's).
   struct LaneScratch {
     numerics::Density1D initial;
     numerics::TimeField2D policy;
@@ -61,8 +67,10 @@ class BatchBestResponseLearner {
   // on a warmed grid shape never touch the heap (allocs_per_epoch=0).
   struct Workspace {
     std::vector<LaneScratch> lanes;
+    MeanFieldBatchEstimator::Workspace estimator;
     HjbBatchSolver::Workspace hjb;
     FpkBatchSolver::Workspace fpk;
+    std::vector<MeanFieldBatchEstimator::LaneIo> estimator_io;
     std::vector<HjbBatchSolver::LaneIo> hjb_io;
     std::vector<FpkBatchSolver::LaneIo> fpk_io;
     std::vector<std::uint8_t> running;   // Lane still in the lockstep loop.
@@ -107,8 +115,11 @@ class BatchBestResponseLearner {
   HjbBatchSolver hjb_;
   FpkBatchSolver fpk_;
   // optional<> because MeanFieldEstimator has no default constructor;
-  // engaged lanes are Rebind()-ed in place on later epochs.
+  // engaged lanes are Rebind()-ed in place on later epochs. The scalar
+  // estimators serve the final refresh; batch_estimator_ holds copies of
+  // their tables for the in-loop estimate.
   std::vector<std::optional<MeanFieldEstimator>> estimators_;
+  MeanFieldBatchEstimator batch_estimator_;
 
   // Per-lane learning controls and content ids of the bound params.
   std::vector<LearningParams> learning_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "numerics/finite_difference.h"
 #include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
@@ -16,41 +15,94 @@ namespace {
 // vectorizer's aliasing analysis, and MFGCP_BATCH_TARGET_CLONES adds
 // AVX2/AVX-512 clones behind runtime dispatch.
 
-// Finite-volume face fluxes: advective donor-cell + central diffusive.
-// Boundary faces (0 and nq) are written by the caller and stay zero.
-MFGCP_BATCH_TARGET_CLONES
-void ComputeFaceFluxes(std::size_t nq, std::size_t m, const double* vel,
-                       const double* lam, const double* d_over_dx,
-                       double* __restrict flux) {
-  for (std::size_t face = 1; face < nq; ++face) {
-    const std::size_t row = face * m;
-    const std::size_t prev = (face - 1) * m;
+// One explicit substep as a single pass over the density rows. Face i+1's
+// flux (advective donor-cell + central diffusive) is computed from the old
+// λᵢ and λᵢ₊₁ before λᵢ is updated, and carried in a register as the left
+// face of row i+1; boundary faces 0 and nq carry zero flux (reflecting).
+// Every expression is FpkSolver1D's explicit substep verbatim, on the same
+// pre-update values, so each lane is bitwise the scalar sweep. The update
+// is masked by a double-wide select (as in the HJB value update), and
+// `bad` accumulates v − v of every updated sample: it stays exactly 0.0
+// iff the lane stayed finite (see numerics::AccumulateNonFiniteLanesInto).
+//
+// M is the compile-time lane count (0 = runtime `mm`, carrying the left
+// face flux in `left_flux`), dispatched like FusedHjbSubstep (here for
+// widths 1, 2, 4 and 8). The lane
+// loop is kept rolled (#pragma GCC unroll 1) so the loop vectorizer maps
+// it to one vector per row at every M: fully unrolled, GCC's
+// straight-line vectorizer judged M = 2 and 4 unprofitable and left them
+// scalar, with a branch per donor choice.
+template <std::size_t M>
+__attribute__((always_inline)) inline void FusedFpkSubstepImpl(
+    std::size_t nq, std::size_t mm, const double* vel, const double* d_over_dx,
+    const double* dt_sub_over_dx, const double* update, double* __restrict lam,
+    double* __restrict bad, double* __restrict left_flux) {
+  const std::size_t m = M ? M : mm;
+  constexpr std::size_t kStatic = M ? M : 1;
+  double left_s[kStatic], bad_s[kStatic];
+  double* left = M ? left_s : left_flux;
+  double* acc = M ? bad_s : bad;
+  for (std::size_t l = 0; l < m; ++l) {
+    left[l] = 0.0;
+    acc[l] = 0.0;
+  }
+  for (std::size_t i = 0; i + 1 < nq; ++i) {
+    const std::size_t row = i * m;
+    const std::size_t next = row + m;
+#pragma GCC unroll 1
     for (std::size_t l = 0; l < m; ++l) {
-      const double v_face = 0.5 * (vel[prev + l] + vel[row + l]);
-      const double donor = v_face > 0.0 ? lam[prev + l] : lam[row + l];
+      // Both samples loaded up front, so the donor choice is a select,
+      // not a branch around a load.
+      const double here = lam[row + l];
+      const double there = lam[next + l];
+      const double v_face = 0.5 * (vel[row + l] + vel[next + l]);
+      const double donor = v_face > 0.0 ? here : there;
       const double advective = v_face * donor;
-      const double diffusive =
-          -d_over_dx[l] * (lam[row + l] - lam[prev + l]);
-      flux[row + l] = advective + diffusive;
+      const double diffusive = -d_over_dx[l] * (there - here);
+      const double right = advective + diffusive;
+      const double updated = here - dt_sub_over_dx[l] * (right - left[l]);
+      const double v = numerics::LaneSelect(update[l], updated, here);
+      lam[row + l] = v;
+      acc[l] += v - v;
+      left[l] = right;
     }
+  }
+  const std::size_t row = (nq - 1) * m;
+  for (std::size_t l = 0; l < m; ++l) {
+    const double updated = lam[row + l] - dt_sub_over_dx[l] * (0.0 - left[l]);
+    const double v = numerics::LaneSelect(update[l], updated, lam[row + l]);
+    lam[row + l] = v;
+    acc[l] += v - v;
+    if constexpr (M != 0) bad[l] = acc[l];
   }
 }
 
-// One masked explicit flux-divergence step of the densities (double-wide
-// select mask, as in the HJB value update).
 MFGCP_BATCH_TARGET_CLONES
-void ApplyFluxUpdate(std::size_t nq, std::size_t m, const double* flux,
-                     const double* dt_sub_over_dx, const double* update,
-                     double* __restrict lam) {
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    const std::size_t next = (i + 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double updated =
-          lam[row + l] -
-          dt_sub_over_dx[l] * (flux[next + l] - flux[row + l]);
-      lam[row + l] = numerics::LaneSelect(update[l], updated, lam[row + l]);
-    }
+void FusedFpkSubstep(std::size_t nq, std::size_t m, const double* vel,
+                     const double* d_over_dx, const double* dt_sub_over_dx,
+                     const double* update, double* __restrict lam,
+                     double* __restrict bad, double* __restrict left_flux) {
+  switch (m) {
+    case 1:
+      FusedFpkSubstepImpl<1>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, bad, left_flux);
+      break;
+    case 2:
+      FusedFpkSubstepImpl<2>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, bad, left_flux);
+      break;
+    case 4:
+      FusedFpkSubstepImpl<4>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, bad, left_flux);
+      break;
+    case 8:
+      FusedFpkSubstepImpl<8>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, bad, left_flux);
+      break;
+    default:
+      FusedFpkSubstepImpl<0>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, bad, left_flux);
+      break;
   }
 }
 
@@ -86,6 +138,8 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
     nq_ = nq;
     nt_ = nt;
     neg_w1_avail_.Assign(nq, num_lanes_, 0.0);
+    retention_.Assign(nt, num_lanes_, 0.0);
+    discard_.Assign(nt, num_lanes_, 0.0);
   } else if (nq != nq_ || nt != nt_) {
     return common::Status::InvalidArgument(
         "batch lanes must share the grid shape");
@@ -97,6 +151,11 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
   for (std::size_t i = 0; i < nq; ++i) {
     neg_w1_avail_.at(i, lane) =
         -params.dynamics.w1 * params.ControlAvailability(q_grid.x(i));
+  }
+  for (std::size_t n = 0; n < nt; ++n) {
+    const NodeDriftTerms terms = params.DriftTermsAt(n);
+    retention_.at(n, lane) = terms.retention;
+    discard_.at(n, lane) = terms.discard;
   }
   content_size_[lane] = params.content_size;
   dx_[lane] = q_grid.dx();
@@ -111,6 +170,12 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
 common::Status FpkBatchSolver::MakeInitialDensityInto(
     std::size_t lane, numerics::Density1D& out) const {
   return core::MakeInitialDensityInto(params_[lane], grids_[lane], out);
+}
+
+std::span<const double> FpkBatchSolver::DensityRows(const Workspace& ws,
+                                                     std::size_t n) const {
+  const std::size_t slab = nq_ * num_lanes_;
+  return {ws.lambda.data() + n * slab, slab};
 }
 
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
@@ -140,32 +205,42 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
-  ws.lambda.Assign(nq, m, 0.0);
+  // Only a new shape needs the fill: live lanes' columns are written
+  // below before they are read, and dead lanes' columns, whatever they
+  // hold, never reach an output.
+  const std::size_t slab = nq * m;
+  if (ws.lambda.nodes() != (nt + 1) * nq || ws.lambda.lanes() != m) {
+    ws.lambda.Assign((nt + 1) * nq, m, 0.0);
+  }
   ws.velocity.Assign(nq, m, 0.0);
-  ws.face_flux.Assign(nq + 1, m, 0.0);
+  ws.left_flux.resize(m);
+  double* lam0 = ws.lambda.data();
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     const std::vector<double>& init = lanes[l].initial->values();
-    for (std::size_t i = 0; i < nq; ++i) ws.lambda.at(i, l) = init[i];
+    for (std::size_t i = 0; i < nq; ++i) lam0[i * m + l] = init[i];
   }
 
-  double* lam = ws.lambda.data();
   double* vel = ws.velocity.data();
-  double* flux = ws.face_flux.data();
   const double* nwd = neg_w1_avail_.data();
   const double* d_dx = d_over_dx_.data();
   const double* dts_dx = dt_sub_over_dx_.data();
 
   for (std::size_t n = 0; n < nt; ++n) {
+    // Time node n+1 starts as node n's rows and is stepped in place.
+    double* lam = lam0 + (n + 1) * slab;
+    std::copy(lam - slab, lam, lam);
+
     // Drift under the node-n policy slice, gathered per lane from its
     // (row-major, per-content) policy field.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
-      const NodeDriftTerms terms = params_[l].DriftTermsAt(n);
+      const double retention = retention_.at(n, l);
+      const double discard = discard_.at(n, l);
       const auto policy_row = (*lanes[l].policy)[n];
       for (std::size_t i = 0; i < nq; ++i) {
         vel[i * m + l] = content_size_[l] * (nwd[i * m + l] * policy_row[i] -
-                                             terms.retention + terms.discard);
+                                             retention + discard);
       }
     }
 
@@ -173,16 +248,8 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       for (std::size_t l = 0; l < m; ++l) {
         update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
       }
-      // Finite-volume face fluxes: advective donor-cell + central
-      // diffusive; boundary faces stay zero -> reflecting.
-      for (std::size_t l = 0; l < m; ++l) {
-        flux[l] = 0.0;
-        flux[nq * m + l] = 0.0;
-      }
-      ComputeFaceFluxes(nq, m, vel, lam, d_dx, flux);
-      ApplyFluxUpdate(nq, m, flux, dts_dx, update.data(), lam);
-      std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-      numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
+      FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update.data(), lam,
+                      ws.bad.data(), ws.left_flux.data());
       for (std::size_t l = 0; l < m; ++l) {
         if (update[l] == 0.0 || ws.bad[l] == 0.0) continue;
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
@@ -196,12 +263,12 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
     // Lane-parallel clip-and-normalize in SoA layout (bit-identical to the
     // scalar Density1D::ClipAndNormalize per lane), then scatter each live
-    // lane's normalized row into its Density1D — λ never leaves the batch
-    // layout. A lane whose mass underflows keeps its clipped row (the
-    // scalar failure path leaves out the same way) and drops out.
+    // lane's normalized row into its Density1D. A lane whose mass
+    // underflows keeps its clipped row (the scalar failure path leaves out
+    // the same way) and drops out.
     numerics::ClipAndNormalizeBatchInto(std::span<const double>(dx_),
-                                        ws.lambda, ws.clip_mass,
-                                        ws.clip_failed);
+                                        std::span<double>(lam, slab),
+                                        ws.clip_mass, ws.clip_failed);
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
       numerics::Density1D& out = lanes[l].solution->densities[n + 1];

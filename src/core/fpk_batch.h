@@ -19,11 +19,16 @@
 // reproduce FpkSolver1D::SolveInto bit-for-bit; validation and output
 // shaping (BeginFpkSolve), the initial density (MakeInitialDensityInto),
 // the CFL substeps and the per-node drift terms are the scalar solver's
-// own functions. The ClipAndNormalize guard runs lane-parallel in SoA
-// layout (numerics::ClipAndNormalizeBatchInto, the scalar accumulation
-// order per lane); each output node then scatters the normalized row into
-// the lane's Density1D — λ stays in the batch layout end-to-end, with no
-// per-node gather-back.
+// own functions.
+//
+// λ stays in the batch layout end to end: the workspace keeps every time
+// node's [node][lane] rows, each substep is one fused pass over them
+// (face flux, flux-divergence update and finiteness check), the
+// ClipAndNormalize guard runs lane-parallel
+// (numerics::ClipAndNormalizeBatchInto, the scalar accumulation order per
+// lane), and each time node's normalized rows are scattered into the
+// lanes' Density1D outputs. DensityRows hands the kept rows to the
+// lane-parallel mean-field estimator.
 //
 // Only explicit stepping is batched: BindLane rejects a grid.implicit_fpk
 // lane, and the epoch path solves implicit-FPK contents on the scalar
@@ -35,15 +40,18 @@ namespace mfg::core {
 class FpkBatchSolver {
  public:
   struct Workspace {
+    // (nt + 1) · nq nodes: time node n's rows start at node n · nq. After
+    // a solve, a lane that was active and did not fail holds its
+    // trajectory there (densities[n] of its output, bit for bit).
     numerics::BatchField lambda;
     numerics::BatchField velocity;
-    numerics::BatchField face_flux;  // nq + 1 nodes.
     std::vector<std::uint8_t> alive;
     // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
     // update select and the divergence accumulator vectorize only when the
     // mask lanes match the double data width.
     std::vector<double> update;
     std::vector<double> bad;
+    std::vector<double> left_flux;  // Runtime-width substep scratch.
     // Scratch for the lane-parallel ClipAndNormalizeBatchInto guard.
     std::vector<double> clip_mass;
     std::vector<std::uint8_t> clip_failed;
@@ -73,6 +81,11 @@ class FpkBatchSolver {
 
   void SolveInto(std::span<LaneIo> lanes, Workspace& ws) const;
 
+  // Time node n's density rows from the last SolveInto on `ws`: nq ×
+  // num_lanes() samples, [node][lane] (see Workspace::lambda).
+  std::span<const double> DensityRows(const Workspace& ws,
+                                      std::size_t n) const;
+
  private:
   std::size_t num_lanes_ = 0;
   std::size_t bound_lanes_ = 0;
@@ -83,6 +96,10 @@ class FpkBatchSolver {
   std::vector<numerics::Grid1D> grids_;
 
   numerics::BatchField neg_w1_avail_;
+  // MfgParams::DriftTermsAt(n) per [time node][lane], tabulated at bind:
+  // the terms hold a pow() and change only with the params.
+  numerics::BatchField retention_;
+  numerics::BatchField discard_;
 
   std::vector<double> content_size_;
   std::vector<double> dx_;

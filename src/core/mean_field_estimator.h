@@ -6,7 +6,11 @@
 
 #include "common/status.h"
 #include "core/mfg_params.h"
+#include "econ/pricing.h"
+#include "numerics/batch_field.h"
 #include "numerics/density.h"
+#include "numerics/grid.h"
+#include "numerics/quadrature.h"
 
 // The mean-field estimator (§IV-B module 1): converts the mean-field
 // density λ(t, ·) and the candidate policy x(t, ·) into the economic
@@ -39,6 +43,21 @@ struct MeanFieldQuantities {
 
 class MeanFieldEstimator {
  public:
+  // Everything an estimate reads besides the density and the policy,
+  // fixed when the estimator is bound: the params' q-grid, the quadrature
+  // bounds of the α·Q_k split on it, and the constants of the price and
+  // sharing-benefit formulas. MeanFieldBatchEstimator copies it per lane,
+  // so the scalar and the lane-parallel paths read one definition.
+  struct Table {
+    numerics::Grid1D grid;
+    numerics::IntervalBounds sharer;  // [lo, α·Q_k]: EDPs able to share.
+    numerics::IntervalBounds needer;  // [α·Q_k, hi].
+    econ::PricingModel pricing;
+    double content_size = 0.0;
+    double sharing_price = 0.0;
+    bool sharing_enabled = true;
+  };
+
   // Scratch buffer for the q-weighted density samples (shared by the mean
   // and the two partial moments); reuse across Estimate calls keeps the
   // per-time-node estimation allocation-free.
@@ -50,11 +69,12 @@ class MeanFieldEstimator {
   static common::StatusOr<MeanFieldEstimator> Create(const MfgParams& params);
 
   // Re-parameterizes the estimator in place (see HjbSolver1D::Rebind);
-  // allocation-free for the profile-less params the epoch loop builds.
+  // allocation-free.
   common::Status Rebind(const MfgParams& params);
 
-  // Computes all quantities for one time slice. `policy_slice` is x(t, ·)
-  // sampled on the density's grid.
+  // Computes all quantities for one time slice. `density` lives on the
+  // params' q-grid (MfgParams::MakeQGrid) and `policy_slice` is x(t, ·)
+  // sampled on it; either mismatch fails with InvalidArgument.
   common::StatusOr<MeanFieldQuantities> Estimate(
       const numerics::Density1D& density,
       const std::vector<double>& policy_slice) const;
@@ -66,14 +86,66 @@ class MeanFieldEstimator {
                               Workspace& workspace,
                               MeanFieldQuantities& out) const;
 
-  const MfgParams& params() const { return params_; }
+  const Table& table() const { return table_; }
 
  private:
-  MeanFieldEstimator(const MfgParams& params, const econ::PricingModel& pricing)
-      : params_(params), pricing_(pricing) {}
+  explicit MeanFieldEstimator(const Table& table) : table_(table) {}
 
-  MfgParams params_;
-  econ::PricingModel pricing_;
+  Table table_;
+};
+
+// Lane-parallel MeanFieldEstimator::EstimateInto: one call estimates K
+// contents (the lanes) at one time node, reading the density rows in the
+// [node][lane] layout the batched FPK keeps per time node
+// (FpkBatchSolver::DensityRows), so nothing is gathered per lane. All five
+// quadratures of every lane run in a single pass over the nodes; the
+// partial sums over the α·Q_k split are masked per lane by the cells of
+// the lane's own bounds. Lane l performs the scalar estimator's operations
+// in their exact order on lane-l data, from the lane's bound Table, so its
+// MeanFieldQuantities are bitwise equal to EstimateInto on the lane's own
+// Density1D and policy row.
+class MeanFieldBatchEstimator {
+ public:
+  struct Workspace {
+    numerics::BatchField policy;  // Active lanes' policy rows, [node][lane].
+    std::vector<double> sums;     // Per-lane quadrature accumulators.
+  };
+
+  struct LaneIo {
+    std::span<const double> policy;  // x(t, ·) on the lane's q-grid.
+    MeanFieldQuantities* out = nullptr;
+    bool active = false;
+  };
+
+  MeanFieldBatchEstimator() = default;
+
+  // Declares the batch width; see HjbBatchSolver::Reset/BindLane. All
+  // bound lanes must share the q-grid size.
+  void Reset(std::size_t num_lanes);
+  common::Status BindLane(std::size_t lane,
+                          const MeanFieldEstimator& estimator);
+
+  std::size_t num_lanes() const { return num_lanes_; }
+
+  // `density` holds nq × num_lanes() samples, [node][lane]. Writes
+  // *lanes[l].out for every active lane (which must be bound) and counts
+  // one estimate per active lane. Inactive lanes' density columns may hold
+  // anything; they never reach an output.
+  void EstimateInto(std::span<const double> density,
+                    std::span<const LaneIo> lanes, Workspace& ws) const;
+
+ private:
+  std::size_t num_lanes_ = 0;
+  std::size_t bound_lanes_ = 0;
+  std::size_t nq_ = 0;
+
+  std::vector<MeanFieldEstimator::Table> tables_;
+  std::vector<double> dx_;
+  // SoA tables: node coordinates q_i, and 1.0 where cell [q_i, q_{i+1}]
+  // is a full cell of the lane's sharer / needer interval, else 0.0.
+  numerics::BatchField node_q_;
+  numerics::BatchField sharer_cell_;
+  numerics::BatchField needer_cell_;
 };
 
 }  // namespace mfg::core

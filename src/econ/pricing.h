@@ -39,6 +39,10 @@ struct PricingParams {
 
 class PricingModel {
  public:
+  // The model of the default PricingParams (valid), so tables that hold a
+  // model can be default-constructed before they are filled.
+  PricingModel() = default;
+
   // Fails on non-positive p̂ or negative η₁.
   static common::StatusOr<PricingModel> Create(const PricingParams& params);
 

@@ -13,35 +13,75 @@ namespace {
 // predicate, the trapezoid accumulation in Trapezoid()'s exact order
 // (0.5·(f₀+fₙ₋₁), then the interior sum, then ·dx), and a per-element
 // division by the mass — so each lane reproduces the scalar result
-// bit-for-bit. Pointer-only free function for the vectorizer, with
+// bit-for-bit. The clip is folded into the mass pass. M is the
+// compile-time lane count (0 = runtime `mm`, accumulating in `mass`), as
+// in the fused solver substeps (hjb_batch.cc); the lane loops are kept
+// rolled so the loop vectorizer, not straight-line SLP, maps them to one
+// vector per row.
+template <std::size_t M>
+__attribute__((always_inline)) inline void ClipAndNormalizeImpl(
+    std::size_t nq, std::size_t mm, const double* dx, double* __restrict v,
+    double* __restrict mass, std::uint8_t* __restrict failed) {
+  const std::size_t m = M ? M : mm;
+  constexpr std::size_t kStatic = M ? M : 1;
+  double acc_s[kStatic];
+  double* acc = M ? acc_s : mass;
+  const std::size_t last = (nq - 1) * m;
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
+    v[l] = v[l] > 0.0 ? v[l] : 0.0;  // Also clears NaN.
+    v[last + l] = v[last + l] > 0.0 ? v[last + l] : 0.0;
+    acc[l] = 0.5 * (v[l] + v[last + l]);
+  }
+  for (std::size_t i = 1; i + 1 < nq; ++i) {
+    const std::size_t row = i * m;
+#pragma GCC unroll 1
+    for (std::size_t l = 0; l < m; ++l) {
+      const double clipped = v[row + l] > 0.0 ? v[row + l] : 0.0;
+      v[row + l] = clipped;
+      acc[l] += clipped;
+    }
+  }
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
+    const double lane_mass = acc[l] * dx[l];
+    failed[l] = !(lane_mass > 1e-300) ? 1 : 0;
+    // A failed lane divides by 1.0, which keeps its clipped samples
+    // exactly (the scalar failure path returns before dividing); the
+    // division loop then needs no per-lane select.
+    mass[l] = failed[l] != 0 ? 1.0 : lane_mass;
+  }
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m;
+#pragma GCC unroll 1
+    for (std::size_t l = 0; l < m; ++l) {
+      // Division (not reciprocal-multiply), as in Normalize().
+      v[row + l] /= mass[l];
+    }
+  }
+}
+
 // AVX2/AVX-512 clones behind runtime dispatch (see fpk_batch.cc).
 MFGCP_BATCH_TARGET_CLONES
 void ClipAndNormalizeLanes(std::size_t nq, std::size_t m, const double* dx,
                            double* __restrict v, double* __restrict mass,
                            std::uint8_t* __restrict failed) {
-  for (std::size_t k = 0; k < nq * m; ++k) {
-    v[k] = v[k] > 0.0 ? v[k] : 0.0;  // Also clears NaN.
-  }
-  const std::size_t last = (nq - 1) * m;
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] = 0.5 * (v[l] + v[last + l]);
-  }
-  for (std::size_t i = 1; i + 1 < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) mass[l] += v[row + l];
-  }
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] *= dx[l];
-    failed[l] = !(mass[l] > 1e-300) ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      // Division (not reciprocal-multiply), as in Normalize(); failed
-      // lanes keep their clipped samples, the spent quotient is discarded.
-      const double normalized = v[row + l] / mass[l];
-      v[row + l] = failed[l] != 0 ? v[row + l] : normalized;
-    }
+  switch (m) {
+    case 1:
+      ClipAndNormalizeImpl<1>(nq, m, dx, v, mass, failed);
+      break;
+    case 2:
+      ClipAndNormalizeImpl<2>(nq, m, dx, v, mass, failed);
+      break;
+    case 4:
+      ClipAndNormalizeImpl<4>(nq, m, dx, v, mass, failed);
+      break;
+    case 8:
+      ClipAndNormalizeImpl<8>(nq, m, dx, v, mass, failed);
+      break;
+    default:
+      ClipAndNormalizeImpl<0>(nq, m, dx, v, mass, failed);
+      break;
   }
 }
 
@@ -155,10 +195,11 @@ common::StatusOr<double> Density1D::L1Distance(const Density1D& other) const {
   return Trapezoid(grid_, diff);
 }
 
-void ClipAndNormalizeBatchInto(std::span<const double> dx, BatchField& values,
+void ClipAndNormalizeBatchInto(std::span<const double> dx,
+                               std::span<double> values,
                                std::span<double> mass,
                                std::span<std::uint8_t> mass_failed) {
-  ClipAndNormalizeLanes(values.nodes(), values.lanes(), dx.data(),
+  ClipAndNormalizeLanes(values.size() / dx.size(), dx.size(), dx.data(),
                         values.data(), mass.data(), mass_failed.data());
 }
 

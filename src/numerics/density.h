@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "numerics/batch_field.h"
 #include "numerics/grid.h"
 
 // Probability densities sampled on a Grid1D — the representation of the
@@ -87,15 +86,18 @@ class Density1D {
 double GaussianPdf(double x, double mean, double stddev);
 
 // Lane-parallel ClipAndNormalize over an SoA batch of density rows
-// ([node][lane] layout): clips non-positive/NaN samples to zero, computes
-// each lane's trapezoid mass in the exact scalar accumulation order, and
-// divides the lane by its mass — bit-identical per lane to
+// ([node][lane] layout, dx.size() lanes, values.size() / dx.size()
+// nodes): clips non-positive/NaN samples to zero, computes each lane's
+// trapezoid mass in the exact scalar accumulation order, and divides the
+// lane by its mass — bit-identical per lane to
 // Density1D::ClipAndNormalize on the gathered row. A lane whose mass is ~0
 // gets mass_failed[l] = 1 and keeps its clipped, unnormalized samples
 // (matching the scalar failure path, which returns before dividing).
-// `mass` is caller-owned scratch, one slot per lane. All lanes are
+// `mass` is caller-owned scratch, one slot per lane (it ends up holding
+// each lane's divisor: its mass, or 1.0 where it failed). All lanes are
 // processed unconditionally; callers mask out dead lanes themselves.
-void ClipAndNormalizeBatchInto(std::span<const double> dx, BatchField& values,
+void ClipAndNormalizeBatchInto(std::span<const double> dx,
+                               std::span<double> values,
                                std::span<double> mass,
                                std::span<std::uint8_t> mass_failed);
 

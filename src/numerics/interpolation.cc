@@ -4,6 +4,13 @@
 
 namespace mfg::numerics {
 
+CellPoint LocateCell(const Grid1D& grid, double x) {
+  const double clamped = std::clamp(x, grid.lo(), grid.hi());
+  const std::size_t i = grid.CellIndex(clamped);
+  const double t = (clamped - grid.x(i)) / grid.dx();
+  return CellPoint{i, std::clamp(t, 0.0, 1.0)};
+}
+
 common::StatusOr<double> LinearInterpolate(const Grid1D& grid,
                                            const std::vector<double>& f,
                                            double x) {
@@ -16,11 +23,8 @@ common::StatusOr<double> LinearInterpolate(const Grid1D& grid,
   if (f.size() != grid.size()) {
     return common::Status::InvalidArgument("field/grid size mismatch");
   }
-  const double clamped = std::clamp(x, grid.lo(), grid.hi());
-  const std::size_t i = grid.CellIndex(clamped);
-  const double x0 = grid.x(i);
-  const double t = (clamped - x0) / grid.dx();
-  return f[i] + (f[i + 1] - f[i]) * std::clamp(t, 0.0, 1.0);
+  const CellPoint p = LocateCell(grid, x);
+  return Lerp(f[p.cell], f[p.cell + 1], p.t);
 }
 
 }  // namespace mfg::numerics

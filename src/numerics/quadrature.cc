@@ -1,9 +1,6 @@
 #include "numerics/quadrature.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "numerics/interpolation.h"
 
 namespace mfg::numerics {
 namespace {
@@ -61,14 +58,21 @@ common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,
                                              std::span<const double> f,
                                              double a, double b) {
   MFG_RETURN_IF_ERROR(ValidateField(grid, f));
+  return TrapezoidOnInterval(ResolveInterval(grid, a, b), f);
+}
+
+IntervalBounds ResolveInterval(const Grid1D& grid, double a, double b) {
+  IntervalBounds bounds;
+  bounds.dx = grid.dx();
   a = std::max(a, grid.lo());
   b = std::min(b, grid.hi());
-  if (a >= b) return 0.0;
+  if (a >= b) return bounds;  // kEmpty.
 
   // Node values strictly inside (a, b) contribute full trapezoid cells;
   // the partial cells at each end use interpolated endpoint values.
-  MFG_ASSIGN_OR_RETURN(double fa, LinearInterpolate(grid, f, a));
-  MFG_ASSIGN_OR_RETURN(double fb, LinearInterpolate(grid, f, b));
+  bounds.a = LocateCell(grid, a);
+  bounds.b = LocateCell(grid, b);
+  bounds.width = b - a;
 
   // First node strictly greater than a, last node strictly less than b.
   std::size_t first = grid.CellIndex(a) + 1;
@@ -76,16 +80,28 @@ common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,
   std::size_t last = grid.CellIndex(b);
   while (last > 0 && grid.x(last) >= b) --last;
   if (first > last || first >= grid.size() || grid.x(first) >= b) {
-    // a and b fall in the same cell.
-    return 0.5 * (fa + fb) * (b - a);
+    bounds.shape = IntervalBounds::Shape::kOneCell;
+    return bounds;
   }
+  bounds.shape = IntervalBounds::Shape::kCells;
+  bounds.first = first;
+  bounds.last = last;
+  bounds.left_width = grid.x(first) - a;
+  bounds.right_width = b - grid.x(last);
+  return bounds;
+}
 
-  double acc = 0.5 * (fa + f[first]) * (grid.x(first) - a);
-  for (std::size_t i = first; i < last; ++i) {
-    acc += 0.5 * (f[i] + f[i + 1]) * grid.dx();
+double TrapezoidOnInterval(const IntervalBounds& bounds,
+                           std::span<const double> f) {
+  const auto at = [f](std::size_t i) { return f[i]; };
+  double acc = 0.0;
+  if (bounds.shape == IntervalBounds::Shape::kCells) {
+    acc = IntervalHead(bounds, at);
+    for (std::size_t i = bounds.first; i < bounds.last; ++i) {
+      acc += IntervalCell(f[i], f[i + 1], bounds.dx);
+    }
   }
-  acc += 0.5 * (f[last] + fb) * (b - grid.x(last));
-  return acc;
+  return IntervalTail(bounds, acc, at);
 }
 
 common::StatusOr<double> TrapezoidOnInterval(const Grid1D& grid,

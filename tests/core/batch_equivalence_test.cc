@@ -13,7 +13,11 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -23,8 +27,10 @@
 #include "core/fpk_solver.h"
 #include "core/hjb_batch.h"
 #include "core/hjb_solver.h"
+#include "core/mean_field_estimator.h"
 #include "core/mfg_cp.h"
 #include "epoch_test_util.h"
+#include "obs/obs.h"
 
 namespace mfg::core {
 namespace {
@@ -46,7 +52,10 @@ MfgParams LaneParams(std::size_t lane) {
   params.grid.num_time_steps = 50;
   params.content_id = lane;
   params.content_size = kSizes[lane % 8];
-  params.popularity = 0.15 + 0.08 * static_cast<double>(lane);
+  // Lanes 8–15 (width 16) repeat the sizes of 0–7 and must stay valid
+  // popularities, so the popularity steps per block of eight.
+  params.popularity = 0.15 + 0.08 * static_cast<double>(lane % 8) +
+                      0.01 * static_cast<double>(lane / 8);
   params.timeliness = 2.0 + 0.3 * static_cast<double>(lane);
   params.num_requests = 6.0 + 2.0 * static_cast<double>(lane);
   params.learning.max_iterations = 20;
@@ -214,8 +223,144 @@ TEST_P(BatchSolverTest, BestResponseBatchMatchesScalarBitwise) {
   }
 }
 
+// Estimator lanes: besides content size (dx and the grid's upper end),
+// where α·Q_k falls on the lane's grid, the sharing switch, and a density
+// with almost no sharer mass. Validate() keeps α < 1, so α·Q_k never
+// reaches past the grid's upper end; the closest it gets (lane 7) leaves
+// the upper interval inside the last cell. The empty interval itself is
+// covered by quadrature_test.
+MfgParams EstimateLaneParams(std::size_t lane) {
+  MfgParams params = LaneParams(lane);
+  switch (lane % 8) {
+    case 1:
+      params.case_alpha = 0.25;  // On node 10 (checked below).
+      break;
+    case 2:
+      params.case_alpha = 0.237;  // Inside cell 9.
+      break;
+    case 3:
+      params.case_alpha = 0.99;  // Upper interval inside the last cell.
+      break;
+    case 4:
+      params.case_alpha = 0.01;  // Lower interval inside the first cell.
+      break;
+    case 5:
+      params.sharing_enabled = false;
+      break;
+    case 7:
+      params.case_alpha = std::nextafter(1.0, 0.0);
+      break;
+    default:  // 0: α = 0.2, on node 8. 6: see EstimateLaneDensity.
+      break;
+  }
+  return params;
+}
+
+// Lane 6 (mod 8) puts its mass near Q_k, so its sharer mass is positive
+// but below the estimator's 1e-9 guard.
+numerics::Density1D EstimateLaneDensity(const numerics::Grid1D& grid,
+                                        std::size_t lane) {
+  const bool no_sharers = lane % 8 == 6;
+  const double l = static_cast<double>(lane);
+  const double mean = (no_sharers ? 0.9 : 0.3 + 0.04 * l) * grid.hi();
+  const double stddev = (no_sharers ? 0.03 : 0.12 + 0.01 * l) * grid.hi();
+  std::vector<double> values(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const double z = (grid.x(i) - mean) / stddev;
+    values[i] = std::exp(-0.5 * z * z);
+  }
+  auto density =
+      numerics::Density1D::FromSamplesUnchecked(grid, std::move(values))
+          .value();
+  EXPECT_TRUE(density.ClipAndNormalize().ok());
+  return density;
+}
+
+void ExpectQuantitiesBitEqual(const MeanFieldQuantities& a,
+                              const MeanFieldQuantities& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.mean_caching_rate), bits(b.mean_caching_rate));
+  EXPECT_EQ(bits(a.price), bits(b.price));
+  EXPECT_EQ(bits(a.mean_peer_remaining), bits(b.mean_peer_remaining));
+  EXPECT_EQ(bits(a.delta_q), bits(b.delta_q));
+  EXPECT_EQ(bits(a.sharer_fraction), bits(b.sharer_fraction));
+  EXPECT_EQ(bits(a.case3_fraction), bits(b.case3_fraction));
+  EXPECT_EQ(bits(a.sharing_benefit), bits(b.sharing_benefit));
+}
+
+TEST_P(BatchSolverTest, EstimateBatchMatchesScalarBitwise) {
+  const std::size_t lanes = GetParam();
+  MeanFieldBatchEstimator batch;
+  batch.Reset(lanes);
+  std::vector<MeanFieldEstimator> scalar;
+  std::vector<numerics::Density1D> densities;
+  std::vector<std::vector<double>> policies(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const MfgParams params = EstimateLaneParams(l);
+    scalar.push_back(MeanFieldEstimator::Create(params).value());
+    ASSERT_TRUE(batch.BindLane(l, scalar[l]).ok()) << "lane " << l;
+    const numerics::Grid1D grid = params.MakeQGrid().value();
+    if (l % 8 == 1) {
+      ASSERT_EQ(params.case_alpha * params.content_size, grid.x(10));
+    }
+    densities.push_back(EstimateLaneDensity(grid, l));
+    policies[l].resize(grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      policies[l][i] = 0.1 + 0.07 * static_cast<double>(l % 5) +
+                       0.5 * static_cast<double>(i) /
+                           static_cast<double>(grid.size() - 1);
+    }
+  }
+  const std::size_t nq = densities[0].values().size();
+  std::vector<double> rows(nq * lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < nq; ++i) {
+      rows[i * lanes + l] = densities[l].values()[i];
+    }
+  }
+
+  std::vector<MeanFieldQuantities> out(lanes);
+  std::vector<MeanFieldBatchEstimator::LaneIo> io(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    io[l].policy = policies[l];
+    io[l].out = &out[l];
+    io[l].active = true;
+  }
+  MeanFieldBatchEstimator::Workspace ws;
+  batch.EstimateInto(rows, io, ws);
+
+  std::vector<MeanFieldQuantities> expected(lanes);
+  MeanFieldEstimator::Workspace sws;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    ASSERT_TRUE(
+        scalar[l].EstimateInto(densities[l], policies[l], sws, expected[l])
+            .ok());
+    ExpectQuantitiesBitEqual(out[l], expected[l]);
+    if (l % 8 == 6) {
+      EXPECT_GT(expected[l].sharer_fraction, 0.0);
+      EXPECT_LT(expected[l].sharer_fraction, 1e-9);
+    }
+  }
+
+  // An inactive lane's column may hold anything (the FPK rows of a lane
+  // that left the loop): it is neither written nor leaks into a neighbor.
+  if (lanes < 2) return;
+  for (std::size_t i = 0; i < nq; ++i) {
+    rows[i * lanes] = std::numeric_limits<double>::quiet_NaN();
+  }
+  io[0].active = false;
+  out.assign(lanes, MeanFieldQuantities{});
+  batch.EstimateInto(rows, io, ws);
+  EXPECT_EQ(out[0].price, 0.0);
+  for (std::size_t l = 1; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    ExpectQuantitiesBitEqual(out[l], expected[l]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, BatchSolverTest,
-                         ::testing::Values(1, 2, 4, 8),
+                         ::testing::Values(1, 2, 3, 4, 8, 16),
                          [](const auto& info) {
                            return "K" + std::to_string(info.param);
                          });
@@ -379,6 +524,28 @@ TEST(BatchEpochEquivalenceTest, UnconvergedSlotsShipIdenticalIterates) {
   EXPECT_TRUE(any_unconverged);
   ExpectPlanBuffersIdentical(batch_buffer, scalar_buffer);
 }
+
+#if MFGCP_OBS_ENABLED
+// core.mean_field.estimates counts one estimate per (content, time node)
+// on both block bodies, so one epoch's delta does not depend on the
+// batch width.
+TEST(BatchEpochEquivalenceTest, EstimateCounterIsPerContentAndTimeNode) {
+  obs::Counter& estimates =
+      obs::Registry::Global().GetCounter("core.mean_field.estimates");
+  std::vector<std::uint64_t> deltas;
+  for (std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+    MfgCpOptions options = FastOptions(1);
+    options.batch_width = width;
+    auto framework = MakeFramework(11, 1, &options);
+    EpochPlanBuffer buffer;
+    const std::uint64_t before = estimates.Value();
+    ASSERT_TRUE(framework.PlanEpochInto(MakeObservation(11), buffer).ok());
+    deltas.push_back(estimates.Value() - before);
+  }
+  EXPECT_GT(deltas[0], 0u);
+  EXPECT_EQ(deltas[1], deltas[0]);
+}
+#endif
 
 TEST(BatchEpochEquivalenceTest, RejectsZeroBatchWidth) {
   MfgCpOptions options = FastOptions(1);

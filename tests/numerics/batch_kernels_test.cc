@@ -12,10 +12,14 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "numerics/batch_field.h"
+#include "numerics/density.h"
 #include "numerics/finite_difference.h"
+#include "numerics/grid.h"
 
 namespace mfg::numerics {
 namespace {
@@ -102,8 +106,47 @@ TEST_P(BatchKernelsTest, GradientMatchesScalarPerLane) {
   }
 }
 
+// Per lane: Density1D::ClipAndNormalize on the gathered row — NaN and
+// non-positive samples clipped, the mass in the scalar order, the
+// division — including, from width 2, a lane whose mass is 0: it must
+// report the failure and keep its clipped samples, as the scalar path
+// returns before dividing.
+TEST_P(BatchKernelsTest, ClipAndNormalizeMatchesScalarPerLane) {
+  const std::size_t lanes = GetParam();
+  const std::size_t nodes = 57;
+  const std::vector<double> dx = LaneSpacings(lanes);
+  BatchField f = Scatter(nodes, lanes, &Sample);
+  f.at(3, 0) = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t empty_lane = lanes / 2;
+  if (lanes > 1) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      f.at(i, empty_lane) = -std::fabs(Sample(i, empty_lane));
+    }
+  }
+  const BatchField in = f;
+  std::vector<double> mass(lanes);
+  std::vector<std::uint8_t> failed(lanes);
+  ClipAndNormalizeBatchInto(dx, std::span<double>(f.data(), f.size()), mass,
+                            failed);
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const Grid1D grid =
+        Grid1D::Create(0.0, dx[l] * static_cast<double>(nodes - 1), nodes)
+            .value();
+    ASSERT_EQ(grid.dx(), dx[l]);
+    Density1D expected =
+        Density1D::FromSamplesUnchecked(grid, GatherLane(in, l)).value();
+    const bool normalized = expected.ClipAndNormalize().ok();
+    EXPECT_EQ(failed[l] == 0, normalized) << "lane " << l;
+    EXPECT_EQ(normalized, !(lanes > 1 && l == empty_lane)) << "lane " << l;
+    for (std::size_t i = 0; i < nodes; ++i) {
+      ExpectBitEqual(f.at(i, l), expected.values()[i], i, l);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, BatchKernelsTest,
-                         ::testing::Values(1, 2, 4, 8),
+                         ::testing::Values(1, 2, 3, 4, 8, 16),
                          [](const auto& info) {
                            return "K" + std::to_string(info.param);
                          });
