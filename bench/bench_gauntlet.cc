@@ -21,9 +21,9 @@
 //   gauntlet_csv=<path>  also write the cells as CSV
 //                        (scripts/check_gauntlet.py validates the file)
 //   fault_rate=<p> fault_seed=<s>   arm seeded kReplan faults on the
-//                        epoch-boundary seam (inert with -DMFGCP_FAULTS=OFF):
-//                        hit boundaries keep the previous placement and
-//                        count into the replan_faults column.
+//                        epoch-boundary seam: hit boundaries keep the
+//                        previous placement and count into the
+//                        replan_faults column.
 
 #include <cstdio>
 #include <optional>
@@ -126,7 +126,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-#if MFGCP_FAULTS_ENABLED
   // Seeded faults on the kReplan seam: boundaries drawn by the plan keep
   // the previous placement (the engine's degraded-not-fatal contract); the
   // CI soak asserts the gauntlet still completes with a valid CSV.
@@ -149,7 +148,6 @@ int Run(int argc, char** argv) {
     std::printf("armed replan fault plan: rate=%.2f seed=%llu\n", fault_rate,
                 static_cast<unsigned long long>(seed_options.seed));
   }
-#endif  // MFGCP_FAULTS_ENABLED
 
   auto outcomes = sim::RunGauntlet(options);
   MFG_CHECK(outcomes.ok()) << outcomes.status();

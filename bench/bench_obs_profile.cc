@@ -65,7 +65,6 @@ void Run(const common::Config& config) {
   const std::size_t epochs =
       static_cast<std::size_t>(config.GetInt("epochs", 1));
 
-#if MFGCP_FAULTS_ENABLED
   // fault_rate= arms a seeded fault plan over the whole run (fault_seed=
   // keys it), restricted to solver-stage sites so the recovery ladder can
   // absorb every hit and the epoch loop still returns Ok — the CI soak
@@ -90,7 +89,6 @@ void Run(const common::Config& config) {
     std::printf("armed fault plan: rate=%.2f seed=%llu\n", fault_rate,
                 static_cast<unsigned long long>(seed_options.seed));
   }
-#endif  // MFGCP_FAULTS_ENABLED
 
   core::EpochPlanBuffer buffer;
   core::EpochHealthReport health;

@@ -29,9 +29,8 @@
 //   bench_json=<path>    Google-Benchmark JSON for compare_bench.py
 //   fault_rate=<p> fault_seed=<s>   arm a seeded fault plan over every
 //                        injectable site — the solver ladder plus the
-//                        serving seams kReplan and kPlanDeadline (inert
-//                        with -DMFGCP_FAULTS=OFF). The soak contract:
-//                        failed_epochs stays 0 regardless.
+//                        serving seams kReplan and kPlanDeadline. The soak
+//                        contract: failed_epochs stays 0 regardless.
 
 #include <cstdio>
 #include <fstream>
@@ -98,7 +97,6 @@ int Run(int argc, char** argv) {
   }
   options.clock.tick_ms = config.GetDouble("tick_ms", 10.0);
 
-#if MFGCP_FAULTS_ENABLED
   // The serving soak: seeded faults over all injectable sites, including
   // the two serving seams. The CI soak row asserts the run completes with
   // failed_epochs=0 and a check_serve.py-valid JSONL.
@@ -132,7 +130,6 @@ int Run(int argc, char** argv) {
                 fault_rate,
                 static_cast<unsigned long long>(seed_options.seed));
   }
-#endif  // MFGCP_FAULTS_ENABLED
 
   auto loop = serve::ServeLoop::Create(options);
   MFG_CHECK(loop.ok()) << loop.status();

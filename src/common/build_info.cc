@@ -14,9 +14,6 @@
 #ifndef MFGCP_BUILD_OBS
 #define MFGCP_BUILD_OBS 0
 #endif
-#ifndef MFGCP_BUILD_FAULTS
-#define MFGCP_BUILD_FAULTS 0
-#endif
 
 namespace mfg::common {
 
@@ -26,7 +23,7 @@ const BuildInfo& GetBuildInfo() {
       MFGCP_BUILD_COMPILER,
       MFGCP_BUILD_TYPE_NAME,
       MFGCP_BUILD_OBS != 0,
-      MFGCP_BUILD_FAULTS != 0,
+      true,  // The fault-injection seam is always built in.
       MFGCP_BATCH_CLONES != 0,
   };
   return info;

@@ -27,7 +27,7 @@ struct BuildInfo {
   const char* compiler;      // e.g. "GNU 13.2.0".
   const char* build_type;    // CMAKE_BUILD_TYPE, or "unspecified".
   bool obs_enabled;          // MFGCP_OBS
-  bool faults_enabled;       // MFGCP_FAULTS
+  bool faults_enabled;       // Always true: the fault seam is built in.
   bool simd_enabled;         // MFGCP_BATCH_CLONES: runtime ISA clones.
 };
 

@@ -15,26 +15,14 @@ namespace {
 // determinism contract at any parallelism / batch width.
 common::Status LaneFaultCheck(const BatchBestResponseLearner::LaneJob& job,
                               faults::FaultSite site) {
-#if MFGCP_FAULTS_ENABLED
   faults::ScopedFaultScope scope(job.epoch, job.content, 0);
   return faults::Check(site);
-#else
-  (void)job;
-  (void)site;
-  return common::Status::Ok();
-#endif
 }
 
 bool LaneFaultFires(const BatchBestResponseLearner::LaneJob& job,
                     faults::FaultSite site) {
-#if MFGCP_FAULTS_ENABLED
   faults::ScopedFaultScope scope(job.epoch, job.content, 0);
   return faults::Fires(site);
-#else
-  (void)job;
-  (void)site;
-  return false;
-#endif
 }
 
 }  // namespace
@@ -80,7 +68,9 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
 void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                                          Workspace& ws) const {
   MFG_OBS_SPAN("BestResponseBatch.Solve");
-  MFG_OBS_SCOPED_TIMER("core.best_response.seconds");
+  // Per block: one observation for all lanes (the per-content solve
+  // counter is core.best_response.solves).
+  MFG_OBS_SCOPED_TIMER("core.best_response.block_seconds");
   const std::size_t m = num_lanes_;
   const std::size_t nt = nt_;
   const std::size_t nq = nq_;

@@ -17,12 +17,8 @@
 // solve entry, the HJB/FPK inner steps, and forced non-convergence — that
 // an armed FaultPlan can force to fail for chosen (epoch, content) pairs.
 //
-// Mirroring the MFG_OBS_* pattern, every hook compiles through a macro and
-// a single switch strips the whole seam:
-//
-//   cmake -DMFGCP_FAULTS=OFF  ->  MFGCP_FAULTS_ENABLED == 0  ->
-//   MFG_FAULT_POINT expands to (void)0 and MFG_FAULT_FORCED to `false`,
-//   so stripped builds carry no injection code at all.
+// Every hook compiles through a macro (MFG_FAULT_POINT, MFG_FAULT_FORCED,
+// MFG_FAULT_SCOPE below); the seam is always built in.
 //
 // Determinism contract: whether a hook fires depends only on the armed
 // plan and the (site, epoch, content, attempt) coordinates of the solve —
@@ -32,7 +28,7 @@
 //
 // Hot-path cost with the seam compiled in but no plan armed: one relaxed
 // atomic load per hook, no allocation — the `allocs_per_epoch=0` contract
-// of the no-fault path survives MFGCP_FAULTS=ON.
+// of the no-fault path holds with the seam in place.
 
 namespace mfg::core::faults {
 
@@ -171,12 +167,6 @@ void ResetInjectedFaultCount();
 
 }  // namespace mfg::core::faults
 
-#ifndef MFGCP_FAULTS_ENABLED
-#define MFGCP_FAULTS_ENABLED 1
-#endif
-
-#if MFGCP_FAULTS_ENABLED
-
 // Fails the enclosing Status/StatusOr-returning function with the injected
 // error when the armed plan targets `site` at the current coordinates.
 #define MFG_FAULT_POINT(site)                                          \
@@ -198,13 +188,5 @@ void ResetInjectedFaultCount();
 #define MFG_FAULT_SCOPE(epoch, content, attempt)                     \
   ::mfg::core::faults::ScopedFaultScope MFG_FAULT_CONCAT_(           \
       mfg_fault_scope_, __LINE__)(epoch, content, attempt)
-
-#else  // !MFGCP_FAULTS_ENABLED
-
-#define MFG_FAULT_POINT(site) (void)0
-#define MFG_FAULT_FORCED(site) false
-#define MFG_FAULT_SCOPE(epoch, content, attempt) (void)0
-
-#endif  // MFGCP_FAULTS_ENABLED
 
 #endif  // MFGCP_CORE_FAULT_INJECTION_H_

@@ -180,7 +180,8 @@ std::span<const double> FpkBatchSolver::DensityRows(const Workspace& ws,
 
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   MFG_OBS_SPAN("FpkBatch.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.fpk.sweep_seconds");
+  // Per K-lane call (the per-content sweep counter is core.fpk.sweeps).
+  MFG_OBS_SCOPED_TIMER("core.fpk.block_seconds");
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;

@@ -368,7 +368,8 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
 
 void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   MFG_OBS_SPAN("HjbBatch.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.hjb.sweep_seconds");
+  // Per K-lane call (the per-content sweep counter is core.hjb.sweeps).
+  MFG_OBS_SCOPED_TIMER("core.hjb.block_seconds");
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;

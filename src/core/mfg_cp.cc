@@ -54,17 +54,31 @@ bool IsRecoverable(common::StatusCode code) {
          code == common::StatusCode::kInternal;
 }
 
+// The ladder's fixed relaxation schedule and static fallback rule.
+// Per retry a, learning.relaxation (γ) is scaled by kRelaxationDecay^a —
+// heavier damping walks the fixed point more cautiously.
+constexpr double kRelaxationDecay = 0.5;
+// Per retry a, learning.tolerance is scaled by kToleranceGrowth^a — an
+// equilibrium that narrowly misses the strict tolerance still ships.
+constexpr double kToleranceGrowth = 10.0;
+// Per retry a, learning.max_iterations grows by kExtraIterations · a.
+constexpr std::size_t kExtraIterations = 40;
+// Static fallback (no usable history): contents in the top
+// kFallbackTopFraction of the epoch's popularity ranking cache at rate 1,
+// the rest at rate 0 — the baselines::most_popular decision rule,
+// tabulated as a constant policy surface.
+constexpr double kFallbackTopFraction = 0.3;
+
 // The deterministic relaxation schedule of retry `attempt` (attempt >= 1):
 // damp the best-response update, widen the acceptance tolerance, and grant
 // extra fixed-point iterations — all geometric/linear in the attempt index
-// so the schedule is reproducible from the options alone.
-void RelaxLearning(const EpochRecoveryOptions& recovery, std::size_t attempt,
-                   LearningParams& learning) {
+// so the schedule is reproducible from the attempt alone.
+void RelaxLearning(std::size_t attempt, LearningParams& learning) {
   for (std::size_t a = 0; a < attempt; ++a) {
-    learning.relaxation *= recovery.relaxation_decay;
-    learning.tolerance *= recovery.tolerance_growth;
+    learning.relaxation *= kRelaxationDecay;
+    learning.tolerance *= kToleranceGrowth;
   }
-  learning.max_iterations += recovery.extra_iterations * attempt;
+  learning.max_iterations += kExtraIterations * attempt;
 }
 
 // Ladder-visible outcomes that did not come from a solve of this epoch:
@@ -87,10 +101,7 @@ common::Status BuildAttemptParams(const EpochSolveJob& job,
       k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
       static_cast<double>(job.obs->request_counts[k]));
   if (!params.ok()) return params.status();
-  if (attempt > 0) {
-    RelaxLearning(job.framework->options().recovery, attempt,
-                  params->learning);
-  }
+  if (attempt > 0) RelaxLearning(attempt, params->learning);
   result.params = std::move(*params);
   MFG_FLIGHT_EVENT(
       kAttemptBegin, 0, k,
@@ -132,7 +143,7 @@ void SaveLastGood(const EpochSolveJob& job, content::ContentId k,
 }
 
 // Final ladder rung: a static most-popular-style plan built without the
-// solver — contents in the top fallback_top_fraction of the epoch's
+// solver — contents in the top kFallbackTopFraction of the epoch's
 // popularity ranking cache at rate 1, the rest at rate 0, and the mean
 // field is frozen at the initial density (no market information survives
 // a solve that never ran). Built outside any fault scope: the fallback
@@ -140,7 +151,6 @@ void SaveLastGood(const EpochSolveJob& job, content::ContentId k,
 common::Status BuildFallbackResult(const EpochSolveJob& job,
                                    EpochContentResult& result) {
   const MfgCpFramework& framework = *job.framework;
-  const EpochRecoveryOptions& recovery = framework.options().recovery;
   const content::ContentId k = result.content;
 
   // The per-content params may be what failed (bad observation), so build
@@ -166,7 +176,7 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
                           ? 0.0
                           : static_cast<double>(ahead) /
                                 static_cast<double>(popularity.size());
-  const double rate = rank < recovery.fallback_top_fraction ? 1.0 : 0.0;
+  const double rate = rank < kFallbackTopFraction ? 1.0 : 0.0;
 
   const std::size_t nt = params.grid.num_time_steps;
   const std::size_t nq = params.grid.num_q_nodes;
@@ -225,26 +235,21 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
   EpochContentResult& result = job.buffer->results[slot];
   common::Status& status = job.buffer->statuses[slot];
   const content::ContentId k = result.content;
-  const EpochRecoveryOptions& recovery = job.framework->options().recovery;
 
   status = std::move(first_status);
-  if (status.ok() &&
-      (result.equilibrium.converged || !recovery.enabled ||
-       !recovery.retry_on_nonconvergence)) {
+  if (status.ok() && result.equilibrium.converged) {
     job.buffer->outcomes[slot] = SlotOutcome::kSolved;
-    if (recovery.enabled && result.equilibrium.converged) {
-      SaveLastGood(job, k, result);
-    }
+    SaveLastGood(job, k, result);
     return;
   }
-  if (!recovery.enabled ||
-      (!status.ok() && !IsRecoverable(status.code()))) {
+  if (!status.ok() && !IsRecoverable(status.code())) {
     SettleSlot(job, slot, SlotOutcome::kFailed);
     return;
   }
 
-  // Rung 1: relaxed retries.
-  for (std::size_t attempt = 1; attempt <= recovery.max_retries; ++attempt) {
+  // Rung 1: relaxed retries. A clean but unconverged first solve retries
+  // too; the final retry's equilibrium ships even if still unconverged.
+  for (std::size_t attempt = 1; attempt <= kLadderRetries; ++attempt) {
     ++result.attempts;
     status = AttemptSlotSolve(job, wc, result, attempt);
     if (status.ok() && result.equilibrium.converged) {
@@ -427,20 +432,6 @@ common::StatusOr<MfgCpFramework> MfgCpFramework::Create(
     return common::Status::InvalidArgument(
         "popularity model does not cover the catalog");
   }
-  const EpochRecoveryOptions& recovery = options.recovery;
-  if (recovery.relaxation_decay <= 0.0 || recovery.relaxation_decay > 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.relaxation_decay must be in (0, 1]");
-  }
-  if (recovery.tolerance_growth < 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.tolerance_growth must be >= 1");
-  }
-  if (recovery.fallback_top_fraction < 0.0 ||
-      recovery.fallback_top_fraction > 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.fallback_top_fraction must be in [0, 1]");
-  }
   if (options.batch_width == 0) {
     return common::Status::InvalidArgument("batch_width must be >= 1");
   }
@@ -499,8 +490,7 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   buffer.num_active = 0;
   for (content::ContentId k = 0; k < k_total; ++k) {
     const bool needs_cache = obs.mean_remaining[k] > 0.0;
-    const bool requested =
-        static_cast<double>(obs.request_counts[k]) >= options_.min_requests;
+    const bool requested = obs.request_counts[k] > 0;
     if (!needs_cache || !requested) continue;
     buffer.active[k] = true;
     const std::size_t slot = buffer.num_active++;

@@ -1,6 +1,7 @@
 #ifndef MFGCP_CORE_MFG_CP_H_
 #define MFGCP_CORE_MFG_CP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,38 +35,16 @@
 
 namespace mfg::core {
 
-// Knobs of the per-content recovery ladder PlanEpochInto runs when a
-// solve fails or does not converge (ARCHITECTURE.md §5 "Epoch failure
-// handling"). The ladder degrades per content instead of failing per
-// epoch: retry with relaxed learning controls, then reuse the content's
-// last-good equilibrium, then a static most-popular-style policy. Only
-// numerical failures (kNumericalError / kInternal) are recovered;
-// configuration errors (kInvalidArgument, ...) still fail the slot — and
-// the epoch — because retrying cannot fix a bad input.
-struct EpochRecoveryOptions {
-  // false restores the pre-ladder behavior: first failure wins, no
-  // retries, no carry-forward, no last-good bookkeeping.
-  bool enabled = true;
-  // Relaxed retries before falling back (attempt a ∈ [1, max_retries]).
-  std::size_t max_retries = 2;
-  // Per retry, learning.relaxation (γ) is scaled by relaxation_decay^a —
-  // heavier damping walks the fixed point more cautiously.
-  double relaxation_decay = 0.5;
-  // Per retry, learning.tolerance is scaled by tolerance_growth^a — an
-  // equilibrium that narrowly misses the strict tolerance still ships.
-  double tolerance_growth = 10.0;
-  // Per retry, learning.max_iterations grows by extra_iterations · a.
-  std::size_t extra_iterations = 40;
-  // Treat a clean but non-converged solve as a ladder trigger. The final
-  // retry's equilibrium ships even if still unconverged (matching the
-  // pre-ladder contract of never discarding a clean solve).
-  bool retry_on_nonconvergence = true;
-  // Static fallback (no usable history): contents in the top
-  // `fallback_top_fraction` of the epoch's popularity ranking cache at
-  // rate 1, the rest at rate 0 — the baselines::most_popular decision
-  // rule, tabulated as a constant policy surface.
-  double fallback_top_fraction = 0.3;
-};
+// The per-content recovery ladder PlanEpochInto runs when a solve fails
+// or does not converge (ARCHITECTURE.md §5 "Epoch failure handling")
+// degrades per content instead of failing per epoch: retry with relaxed
+// learning controls, then reuse the content's last-good equilibrium, then
+// a static most-popular-style policy. Only numerical failures
+// (kNumericalError / kInternal) are recovered; configuration errors
+// (kInvalidArgument, ...) still fail the slot — and the epoch — because
+// retrying cannot fix a bad input. The relaxation schedule is fixed
+// (mfg_cp.cc); this is its number of relaxed retries before carry-forward.
+inline constexpr std::size_t kLadderRetries = 2;
 
 // Per-epoch equilibrium-quality probe (ε-Nash exploitability and
 // mean-field consistency residual; see equilibrium_metrics.h). The probe
@@ -83,9 +62,6 @@ struct MfgCpOptions {
   // Template parameters; PlanEpoch overwrites the per-content fields
   // (popularity, timeliness, num_requests, content_size).
   MfgParams base_params;
-  // Requests below this rate leave a content out of K' (Alg. 1 line 5
-  // requires at least one request).
-  double min_requests = 0.5;
   // Worker threads for the per-content equilibrium solves (Alg. 1 line 2:
   // EDPs plan "in parallel"; the per-content problems are independent).
   // 1 = serial (no threads are spawned). Results are bit-identical for
@@ -100,8 +76,6 @@ struct MfgCpOptions {
   // FPK is batched). Each lane runs the exact scalar expression tree, so
   // results stay bit-identical for every value.
   std::size_t batch_width = 8;
-  // Per-content failure handling (see EpochRecoveryOptions above).
-  EpochRecoveryOptions recovery;
   // Equilibrium-quality gauge stage (see EquilibriumProbeOptions above).
   EquilibriumProbeOptions eq_probe;
 };
@@ -196,7 +170,7 @@ class MfgCpFramework {
   // content-size change re-warms that worker's buffers once).
   //
   // Failure handling: a per-content numerical failure runs the recovery
-  // ladder (options().recovery) instead of failing the epoch — the slot is
+  // ladder (kLadderRetries above) instead of failing the epoch — the slot is
   // retried with relaxed learning controls, then filled from the content's
   // last-good equilibrium or a static fallback, and `buffer.outcomes`
   // records which rung served it. The call only returns an error when a

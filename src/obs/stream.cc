@@ -56,7 +56,7 @@ common::Status MetricsStreamer::Start(const StreamOptions& options) {
   // Window 0: a baseline row diffing the current registry against zero, so
   // consumers see the pre-existing cumulative state before the first
   // periodic window.
-  if (options_.sample_process_gauges) SampleProcessGauges();
+  SampleProcessGauges();
   CaptureSnapshot(prev_);
   if (!options.csv_path.empty()) {
     csv_out_.open(options.csv_path, std::ios::trunc);
@@ -136,7 +136,7 @@ void MetricsStreamer::Run() {
 }
 
 void MetricsStreamer::WriteWindow() {
-  if (options_.sample_process_gauges) SampleProcessGauges();
+  SampleProcessGauges();
   CaptureSnapshot(current_);
   Diff(current_, prev_, delta_);
   AppendJsonlRow(delta_);

@@ -18,7 +18,8 @@
 // process exit, the MetricsStreamer samples it on its own thread at a
 // fixed cadence and appends one time-stamped row per window, so a run
 // that plans epochs for hours leaves a time series instead of a single
-// aggregate.
+// aggregate. Each window first refreshes the proc.* memory gauges
+// (proc_stats.h).
 //
 // Threading contract: all sampling work — registry capture, delta
 // arithmetic, procfs probes, serialization, file I/O, every allocation —
@@ -56,8 +57,6 @@ struct StreamOptions {
   std::string jsonl_path;            // Required.
   std::string csv_path;              // Optional wide-format companion.
   std::chrono::milliseconds period{1000};
-  // Sample the procfs memory gauges (proc_stats.h) each window.
-  bool sample_process_gauges = true;
 };
 
 class MetricsStreamer {

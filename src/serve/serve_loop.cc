@@ -236,6 +236,13 @@ void ServeLoop::CountDeadlineMiss(RunState& state) {
   MFG_OBS_COUNT("serve.plan_deadline_misses", 1);
 }
 
+void ServeLoop::CountOverrun(RunState& state) {
+  if (options_.plan_deadline_ms > 0.0 && !job_miss_counted_ &&
+      std::chrono::steady_clock::now() > job_deadline_) {
+    CountDeadlineMiss(state);
+  }
+}
+
 void ServeLoop::FinishJob(RunState& state) {
   job_running_ = false;
   if (!job_status_.ok()) {
@@ -366,10 +373,7 @@ void ServeLoop::HandleBoundary(RunState& state) {
   // Collect a round that finished since the last poll (async only —
   // synchronous rounds never outlive their boundary).
   if (async && job_running_ && JobDone()) {
-    if (!job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
+    CountOverrun(state);
     FinishJob(state);
   }
   // A deferred plan swaps in at the boundary it waited for.
@@ -383,10 +387,7 @@ void ServeLoop::HandleBoundary(RunState& state) {
   if (job_running_) {
     // The planner is still inside the previous round: this boundary has
     // no plan round of its own (the previous plan serves through it).
-    if (!job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
+    CountOverrun(state);
     ++state.stats.skipped_plan_rounds;
     MFG_OBS_COUNT("serve.skipped_plan_rounds", 1);
   } else if (auto fault = BoundaryFaultCheck(state.epoch); !fault.ok()) {
@@ -530,16 +531,9 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
     // this tick; an overrun tick publishes nothing (the miss is counted
     // once, the late plan waits for the next boundary).
     if (async && job_running_) {
-      if (JobDone()) {
-        if (!job_miss_counted_ &&
-            std::chrono::steady_clock::now() > job_deadline_) {
-          CountDeadlineMiss(state);
-        }
-        FinishJob(state);
-      } else if (!job_miss_counted_ &&
-                 std::chrono::steady_clock::now() > job_deadline_) {
-        CountDeadlineMiss(state);
-      }
+      const bool done = JobDone();
+      CountOverrun(state);
+      if (done) FinishJob(state);
     }
 
     MFG_OBS_COUNT("serve.ticks", 1);
@@ -569,10 +563,7 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
   // no boundary remains to swap at.
   if (job_running_) {
     WaitForJob();
-    if (async && !job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
+    CountOverrun(state);
     FinishJob(state);
   }
 

@@ -208,6 +208,10 @@ class ServeLoop {
   void Publish(RunState& state);
   // Counts the job's deadline miss once (async overrun ticks).
   void CountDeadlineMiss(RunState& state);
+  // Counts the miss if the in-flight round has overrun its wall-clock
+  // budget and it is not counted yet. Async mode only: synchronous rounds
+  // have no budget and never set job_deadline_.
+  void CountOverrun(RunState& state);
   common::Status WriteJsonl(const ServeStats& stats) const;
 
   ServeOptions options_;

@@ -15,6 +15,11 @@ namespace mfg::sim {
 
 namespace {
 
+// MfgPlanReplanHook's constant per-epoch observation fields: the request
+// stream carries counts only, no per-request urgency or cache state.
+constexpr double kMeanTimeliness = 2.5;
+constexpr double kMeanRemaining = 70.0;
+
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -113,14 +118,14 @@ common::Status MfgPlanReplanHook::OnEpochBoundary(
         "epoch_counts arity does not match the planner catalog");
   }
   // The finished epoch's observation: counts from the replay, constant
-  // timeliness/remaining fields (the request stream carries no per-request
-  // urgency; the constants match the repo's epoch-bench scenario).
+  // timeliness/remaining fields (the constants match the repo's
+  // epoch-bench scenario).
   observation_.request_counts.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
     observation_.request_counts[i] = static_cast<std::size_t>(epoch_counts[i]);
   }
-  observation_.mean_timeliness.assign(k, options_.mean_timeliness);
-  observation_.mean_remaining.assign(k, options_.mean_remaining);
+  observation_.mean_timeliness.assign(k, kMeanTimeliness);
+  observation_.mean_remaining.assign(k, kMeanRemaining);
 
   MFG_OBS_SCOPED_TIMER("sim.gauntlet.plan_seconds");
   if (auto status = framework_.PlanEpochInto(

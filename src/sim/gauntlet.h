@@ -68,10 +68,6 @@ class MfgPlanReplanHook final : public ReplanHook {
  public:
   struct Options {
     core::MfgCpOptions planner;
-    // Constant per-epoch observation fields the request stream does not
-    // carry (the engine observes counts only).
-    double mean_timeliness = 2.5;
-    double mean_remaining = 70.0;
     // When true, every OnEpochBoundary fills last_health() with the
     // epoch's EpochHealthReport (the serving runtime and soak tests read
     // it; the default keeps the historical no-report planning path).

@@ -13,10 +13,12 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <vector>
@@ -498,12 +500,12 @@ TEST(BatchEpochEquivalenceTest, BatchedPlansIdenticalAcrossParallelism) {
 }
 
 TEST(BatchEpochEquivalenceTest, UnconvergedSlotsShipIdenticalIterates) {
-  // Tight iteration cap with the nonconvergence retry off: the batch
-  // path's trailing-FPK semantics for exhausted lanes must reproduce the
-  // scalar slot bit-for-bit (nothing is smoothed over by a retry).
+  // Tight iteration cap: lanes that exhaust it leave the batch unconverged
+  // and fall onto the scalar relaxed-retry ladder, which must reproduce the
+  // scalar slot bit-for-bit. The exhausted lanes' own iterates are pinned
+  // by BatchSolverTest.BestResponseBatchMatchesScalarBitwise.
   MfgCpOptions scalar_options = FastOptions(1);
   scalar_options.base_params.learning.max_iterations = 3;
-  scalar_options.recovery.retry_on_nonconvergence = false;
   scalar_options.batch_width = 1;
   MfgCpOptions batch_options = scalar_options;
   batch_options.batch_width = 8;
@@ -515,13 +517,13 @@ TEST(BatchEpochEquivalenceTest, UnconvergedSlotsShipIdenticalIterates) {
   EpochPlanBuffer batch_buffer;
   ASSERT_TRUE(scalar_framework.PlanEpochInto(obs, scalar_buffer).ok());
   ASSERT_TRUE(batch_framework.PlanEpochInto(obs, batch_buffer).ok());
-  bool any_unconverged = false;
+  bool any_retried = false;
   for (std::size_t slot = 0; slot < scalar_buffer.num_active; ++slot) {
-    if (!scalar_buffer.results[slot].equilibrium.converged) {
-      any_unconverged = true;
+    if (scalar_buffer.outcomes[slot] == SlotOutcome::kRetried) {
+      any_retried = true;
     }
   }
-  EXPECT_TRUE(any_unconverged);
+  EXPECT_TRUE(any_retried);
   ExpectPlanBuffersIdentical(batch_buffer, scalar_buffer);
 }
 
@@ -544,6 +546,60 @@ TEST(BatchEpochEquivalenceTest, EstimateCounterIsPerContentAndTimeNode) {
   }
   EXPECT_GT(deltas[0], 0u);
   EXPECT_EQ(deltas[1], deltas[0]);
+}
+
+// The per-content solver histograms observe once per scalar solve or
+// sweep, like their counters; the batched solvers time whole K-lane calls
+// into the separate *.block_seconds histograms.
+TEST(BatchEpochEquivalenceTest, SolverTimersCountPerContentOrPerBlock) {
+  // Per solver stage: {per-content timer, its counter, block timer}.
+  const char* const names[][3] = {
+      {"core.best_response.seconds", "core.best_response.solves",
+       "core.best_response.block_seconds"},
+      {"core.hjb.sweep_seconds", "core.hjb.sweeps", "core.hjb.block_seconds"},
+      {"core.fpk.sweep_seconds", "core.fpk.sweeps", "core.fpk.block_seconds"},
+  };
+  obs::Registry& registry = obs::Registry::Global();
+  const auto read = [&] {
+    std::vector<std::array<std::uint64_t, 3>> values;
+    for (const auto& stage : names) {
+      values.push_back({registry.GetHistogram(stage[0]).Count(),
+                        registry.GetCounter(stage[1]).Value(),
+                        registry.GetHistogram(stage[2]).Count()});
+    }
+    return values;
+  };
+  const std::size_t k = 11;
+  for (std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << "batch_width " << width);
+    MfgCpOptions options = FastOptions(1);
+    options.batch_width = width;
+    auto framework = MakeFramework(k, 1, &options);
+    const auto before = read();
+    EpochPlanBuffer buffer;
+    ASSERT_TRUE(framework.PlanEpochInto(MakeObservation(k), buffer).ok());
+    const auto after = read();
+    // Fault-free and converged on the first try: no slot reaches the
+    // scalar ladder.
+    ASSERT_EQ(buffer.num_active, k);
+    for (std::size_t slot = 0; slot < k; ++slot) {
+      ASSERT_EQ(buffer.outcomes[slot], SlotOutcome::kSolved);
+    }
+    for (std::size_t s = 0; s < std::size(names); ++s) {
+      SCOPED_TRACE(names[s][0]);
+      const std::uint64_t timed = after[s][0] - before[s][0];
+      const std::uint64_t counted = after[s][1] - before[s][1];
+      const std::uint64_t blocks = after[s][2] - before[s][2];
+      EXPECT_GT(counted, 0u);
+      EXPECT_EQ(timed, width == 1 ? counted : 0u);
+      EXPECT_EQ(blocks > 0, width > 1);
+    }
+    if (width > 1) {
+      // One worker: full blocks of `width` slots plus a remainder block.
+      EXPECT_EQ(after[0][2] - before[0][2], (k + width - 1) / width);
+      EXPECT_EQ(after[0][1] - before[0][1], k);
+    }
+  }
 }
 #endif
 

@@ -63,7 +63,6 @@ TEST(EpochAllocTest, WarmedParallelEpochIsAllocationFree) {
   }
 }
 
-#if MFGCP_FAULTS_ENABLED
 TEST(EpochAllocTest, CleanEpochAfterAFaultEpochIsAllocationFree) {
   // A faulted epoch may allocate (error strings, relaxed-retry resizing,
   // WARN logs) — that's the error path. The contract is that the *next*
@@ -95,7 +94,6 @@ TEST(EpochAllocTest, CleanEpochAfterAFaultEpochIsAllocationFree) {
   EXPECT_EQ(obs::AllocationCount() - before, 0u)
       << "clean epoch after a fault epoch allocated";
 }
-#endif  // MFGCP_FAULTS_ENABLED
 
 TEST(EpochAllocTest, ProbeCountsThisThread) {
   const std::size_t global_before = obs::AllocationCount();

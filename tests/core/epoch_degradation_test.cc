@@ -24,15 +24,6 @@ using ::mfg::core::testing::MakeFramework;
 using ::mfg::core::testing::MakeObservation;
 using ::testing::HasSubstr;
 
-#if !MFGCP_FAULTS_ENABLED
-
-TEST(EpochDegradationTest, RequiresTheFaultSeam) {
-  GTEST_SKIP() << "built with MFGCP_FAULTS=OFF; fault-path tests need the "
-                  "injection seam";
-}
-
-#else  // MFGCP_FAULTS_ENABLED
-
 // Arms `plan` and runs one epoch, asserting the epoch-level status is Ok.
 void PlanUnderFaults(const MfgCpFramework& framework,
                      const EpochObservation& obs, const faults::FaultPlan& plan,
@@ -98,9 +89,8 @@ TEST(EpochDegradationTest, PermanentFaultCarriesLastGoodForward) {
     ASSERT_TRUE(buffer.statuses[slot].ok());
     if (buffer.results[slot].content != 1) continue;
     EXPECT_EQ(buffer.outcomes[slot], SlotOutcome::kCarriedForward);
-    // Retries were exhausted first: 1 nominal + max_retries relaxed.
-    EXPECT_EQ(buffer.results[slot].attempts,
-              1 + framework.options().recovery.max_retries);
+    // Retries were exhausted first: 1 nominal + kLadderRetries relaxed.
+    EXPECT_EQ(buffer.results[slot].attempts, 1 + kLadderRetries);
     ExpectEquilibriumIdentical(buffer.results[slot].equilibrium, epoch0_eq);
     checked = true;
   }
@@ -229,21 +219,6 @@ TEST(EpochDegradationTest, UnrecoverableCodeFailsTheSlotAndEpoch) {
       EXPECT_EQ(buffer.outcomes[slot], SlotOutcome::kSolved);
     }
   }
-}
-
-TEST(EpochDegradationTest, DisabledLadderRestoresFirstFailureWins) {
-  MfgCpOptions options = testing::FastOptions(1);
-  options.recovery.enabled = false;
-  auto framework = MakeFramework(3, 1, &options);
-  const EpochObservation obs = MakeObservation(3);
-  faults::FaultPlan plan;
-  plan.Add(SpecAt(faults::FaultSite::kSolve, 0, 1, 1));  // Transient...
-  faults::ScopedFaultInjection arm(plan);
-  EpochPlanBuffer buffer;
-  // ...but with recovery off even a transient fault fails the epoch.
-  const common::Status status = framework.PlanEpochInto(obs, buffer);
-  ASSERT_FALSE(status.ok());
-  EXPECT_THAT(status.message(), HasSubstr("content 1"));
 }
 
 TEST(EpochDegradationTest, NonFaultedSlotsMatchTheFaultFreeRun) {
@@ -400,8 +375,6 @@ TEST(EpochDegradationTest, InjectedFaultCounterSeesTheScenario) {
   PlanUnderFaults(framework, obs, plan, buffer);
   EXPECT_EQ(faults::InjectedFaultCount(), 1u);
 }
-
-#endif  // MFGCP_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace mfg::core

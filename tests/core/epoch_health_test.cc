@@ -185,7 +185,6 @@ TEST(EpochHealthTest, NullHealthSkipsAssembly) {
   EXPECT_EQ(buffer.num_active, 2u);
 }
 
-#if MFGCP_FAULTS_ENABLED
 
 faults::FaultSpec SpecAt(faults::FaultSite site, std::size_t epoch,
                          std::size_t content, std::size_t fail_attempts) {
@@ -226,7 +225,6 @@ TEST(EpochHealthTest, FaultedEpochReportMatchesBufferAtAnyParallelism) {
   }
 }
 
-#endif  // MFGCP_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace mfg::core

@@ -47,8 +47,6 @@ TEST(FaultInjectionTest, PlanLookupMatchesExactCoordinates) {
   EXPECT_EQ(plan.Find(FaultSite::kHjbStep, 3, 7), nullptr);
 }
 
-#if MFGCP_FAULTS_ENABLED
-
 // A helper mirroring how production code uses the hook: the macro fails
 // the enclosing Status-returning function.
 common::Status GuardedOperation() {
@@ -155,20 +153,6 @@ TEST(FaultInjectionTest, FaultScopesNest) {
   }
   EXPECT_FALSE(GuardedOperation().ok());  // Outer coordinates restored.
 }
-
-#else  // !MFGCP_FAULTS_ENABLED
-
-TEST(FaultInjectionTest, StrippedMacrosCompileToNoOps) {
-  // With MFGCP_FAULTS=OFF the macros vanish; an armed plan changes
-  // nothing. This is the build the strip-check CI job runs.
-  FaultPlan plan;
-  plan.Add(FaultSpec{});
-  ScopedFaultInjection arm(plan);
-  MFG_FAULT_SCOPE(0, 0, 0);
-  EXPECT_FALSE(MFG_FAULT_FORCED(kNonConvergence));
-}
-
-#endif  // MFGCP_FAULTS_ENABLED
 
 TEST(FaultPlanFromSeedTest, SameSeedSamePlan) {
   FaultPlan::SeedOptions options;

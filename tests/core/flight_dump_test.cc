@@ -25,14 +25,14 @@
 namespace mfg::core {
 namespace {
 
-#if !MFGCP_FAULTS_ENABLED || !MFGCP_OBS_ENABLED
+#if !MFGCP_OBS_ENABLED
 
-TEST(FlightDumpTest, RequiresFaultsAndObservability) {
-  GTEST_SKIP() << "flight-dump tests need MFGCP_FAULTS=ON and the "
-                  "observability layer compiled in";
+TEST(FlightDumpTest, RequiresObservability) {
+  GTEST_SKIP() << "flight-dump tests need the observability layer "
+                  "compiled in";
 }
 
-#else  // MFGCP_FAULTS_ENABLED && MFGCP_OBS_ENABLED
+#else  // MFGCP_OBS_ENABLED
 
 // Schedule-independent view of one event: everything except the global
 // seq (which encodes interleaving across contents) and the epoch/content
@@ -290,7 +290,7 @@ TEST_F(FlightDumpTest, DisabledJournalSuppressesDumps) {
   EXPECT_EQ(obs::WriteFlightDump(0, contents), "");
 }
 
-#endif  // MFGCP_FAULTS_ENABLED && MFGCP_OBS_ENABLED
+#endif  // MFGCP_OBS_ENABLED
 
 }  // namespace
 }  // namespace mfg::core

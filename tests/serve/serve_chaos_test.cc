@@ -89,7 +89,6 @@ TEST(ServeLoopChaosTest, SoaksManyFaultedEpochsWithoutFailing) {
   auto loop = ServeLoop::Create(options);
   ASSERT_TRUE(loop.ok()) << loop.status();
 
-#if MFGCP_FAULTS_ENABLED
   core::faults::FaultPlan::SeedOptions seed;
   seed.seed = 0xC4405;
   seed.num_epochs = 30;
@@ -108,7 +107,6 @@ TEST(ServeLoopChaosTest, SoaksManyFaultedEpochsWithoutFailing) {
   };
   const core::faults::FaultPlan plan = core::faults::FaultPlan::FromSeed(seed);
   core::faults::ScopedFaultInjection arm(plan);
-#endif  // MFGCP_FAULTS_ENABLED
 
   ServeStats stats;
   auto status = loop.value()->Run(stream.value(), stats);
@@ -163,7 +161,6 @@ TEST(ServeLoopChaosTest, SoaksManyFaultedEpochsWithoutFailing) {
     EXPECT_EQ(recount.health_failed, 0u);
   }
 
-#if MFGCP_FAULTS_ENABLED
   // The chaos actually bit: the seeded plan fires at this rate with near
   // certainty across 25+ epochs; a silent no-fault soak would be a
   // regression in the seams, not a pass.
@@ -173,10 +170,6 @@ TEST(ServeLoopChaosTest, SoaksManyFaultedEpochsWithoutFailing) {
   EXPECT_EQ(stats.plan_rounds + stats.skipped_plan_rounds +
                 stats.requests.replan_faults,
             stats.requests.replans);
-#else
-  EXPECT_EQ(stats.requests.replan_faults, 0u);
-  EXPECT_EQ(stats.deadline_misses, 0u);
-#endif  // MFGCP_FAULTS_ENABLED
 }
 
 }  // namespace

@@ -18,7 +18,6 @@ namespace {
 using serve::testing::SmallServeOptions;
 using serve::testing::SmallStreamOptions;
 
-#if MFGCP_FAULTS_ENABLED
 TEST(ServeLoopDeadlineTest, ForcedMissDefersPublicationOneBoundary) {
   auto stream = sim::GenerateRequestStream(SmallStreamOptions());
   ASSERT_TRUE(stream.ok()) << stream.status();
@@ -108,7 +107,6 @@ TEST(ServeLoopDeadlineTest, ForcedMissKeepsServingThePreviousPlan) {
   // them all, the published plan hits them all.
   EXPECT_GT(baseline.requests.hits, faulted.requests.hits + 500);
 }
-#endif  // MFGCP_FAULTS_ENABLED
 
 TEST(ServeLoopDeadlineTest, AsyncOverrunCountsMissAndKeepsServing) {
   // A planner that sleeps 80ms against a 5ms deadline overruns every

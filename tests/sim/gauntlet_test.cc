@@ -127,7 +127,6 @@ TEST(GauntletTest, RejectsMismatchedShapes) {
   EXPECT_FALSE(RunGauntlet(options).ok());
 }
 
-#if MFGCP_FAULTS_ENABLED
 TEST(GauntletTest, ReplanFaultsDegradeTheMfgScheme) {
   GauntletOptions options = SmallGauntlet();
   options.schemes = {GauntletScheme::kMfgPlan};
@@ -147,7 +146,6 @@ TEST(GauntletTest, ReplanFaultsDegradeTheMfgScheme) {
   EXPECT_EQ(stats.replan_faults, 1u);
   EXPECT_GT(stats.replans, stats.replan_faults);
 }
-#endif  // MFGCP_FAULTS_ENABLED
 
 TEST(GauntletTest, CsvExportIsWellFormed) {
   GauntletOptions options = SmallGauntlet();

@@ -304,7 +304,6 @@ TEST(RequestEngineTest, NullHookDisablesReplanning) {
   EXPECT_EQ(stats.replans, 0u);
 }
 
-#if MFGCP_FAULTS_ENABLED
 TEST(RequestEngineTest, InjectedReplanFaultKeepsPreviousPlacement) {
   const RequestStream stream = SeededStream(4, 2000, 16);
   RequestEngineOptions options = GoldenOptions(4, 2);
@@ -341,7 +340,6 @@ TEST(RequestEngineTest, InjectedReplanFaultKeepsPreviousPlacement) {
     EXPECT_NE(epoch, 1u);
   }
 }
-#endif  // MFGCP_FAULTS_ENABLED
 
 TEST(RequestEngineTest, RejectsEmptyStreamAndBadIds) {
   const RequestEngine engine(GoldenOptions(2, 1));
