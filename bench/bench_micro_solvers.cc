@@ -14,7 +14,7 @@
 // (the MFG_OBS_* record paths never allocate once their function-local
 // registry handles exist, which the warm-up call guarantees). Export
 // machine-readable results with
-//   bench_micro_solvers --benchmark_out=BENCH_solvers.json \
+//   bench_micro_solvers --benchmark_out=BENCH_solvers.json
 //                       --benchmark_out_format=json
 // (see EXPERIMENTS.md).
 
@@ -124,7 +124,7 @@ void BM_HjbBatchSolveInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(lanes));
 }
-BENCHMARK(BM_HjbBatchSolveInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_HjbBatchSolveInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_FpkSolve(benchmark::State& state) {
   core::MfgParams params =
@@ -186,7 +186,7 @@ void BM_FpkBatchSolveInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(lanes));
 }
-BENCHMARK(BM_FpkBatchSolveInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FpkBatchSolveInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_MeanFieldEstimate(benchmark::State& state) {
   core::MfgParams params =
@@ -216,7 +216,7 @@ void BM_MeanFieldEstimateBatch(benchmark::State& state) {
   core::MeanFieldBatchEstimator batch;
   batch.Reset(lanes);
   std::vector<double> rows(kNodes * lanes);
-  std::vector<double> policy(kNodes, 0.5);
+  const std::vector<double> policy(kNodes * lanes, 0.5);
   std::vector<core::MeanFieldQuantities> out(lanes);
   std::vector<core::MeanFieldBatchEstimator::LaneIo> io(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -231,14 +231,13 @@ void BM_MeanFieldEstimateBatch(benchmark::State& state) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       rows[i * lanes + l] = density.values()[i];
     }
-    io[l].policy = policy;
     io[l].out = &out[l];
     io[l].active = true;
   }
   core::MeanFieldBatchEstimator::Workspace workspace;
-  batch.EstimateInto(rows, io, workspace);  // Warm-up.
+  batch.EstimateInto(rows, policy, io, workspace);  // Warm-up.
   LoopCountingAllocs(state, [&] {
-    batch.EstimateInto(rows, io, workspace);
+    batch.EstimateInto(rows, policy, io, workspace);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   });
@@ -250,7 +249,7 @@ void BM_MeanFieldEstimateBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(lanes));
 }
-BENCHMARK(BM_MeanFieldEstimateBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_MeanFieldEstimateBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_BestResponseSolve(benchmark::State& state) {
   core::MfgParams params =

@@ -71,10 +71,24 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
           << line << "] ";
 }
 
+std::string_view LineBuffer::Finish() {
+  *pptr() = '\n';
+  return {pbase(), static_cast<std::size_t>(pptr() - pbase()) + 1};
+}
+
+namespace {
+
+// One fwrite per line, so concurrent loggers never interleave mid-line.
+void WriteLine(LineBuffer& buffer) {
+  const std::string_view line = buffer.Finish();
+  std::fwrite(line.data(), 1, line.size(), stderr);
+}
+
+}  // namespace
+
 LogMessage::~LogMessage() {
   if (level_ < GetLogThreshold()) return;
-  stream_ << "\n";
-  std::fputs(stream_.str().c_str(), stderr);
+  WriteLine(buffer_);
 }
 
 FatalLogMessage::FatalLogMessage(const char* file, int line,
@@ -84,8 +98,7 @@ FatalLogMessage::FatalLogMessage(const char* file, int line,
 }
 
 FatalLogMessage::~FatalLogMessage() {
-  stream_ << "\n";
-  std::fputs(stream_.str().c_str(), stderr);
+  WriteLine(buffer_);
   std::abort();
 }
 

@@ -1,8 +1,10 @@
 #ifndef MFGCP_COMMON_LOGGING_H_
 #define MFGCP_COMMON_LOGGING_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -39,6 +41,28 @@ LogLevel GetLogThreshold();
 
 namespace internal_logging {
 
+// The stream buffer behind a log line: a fixed array inside the message,
+// so formatting a line never touches the heap (the recovery ladder logs
+// from inside epochs that must stay allocation-free). A line longer than
+// the array is truncated.
+class LineBuffer : public std::streambuf {
+ public:
+  LineBuffer() { setp(data_, data_ + kCapacity - 1); }
+
+  // Terminates the line with '\n' (room for it is always kept) and
+  // returns it.
+  std::string_view Finish();
+
+ protected:
+  int_type overflow(int_type ch) override {
+    return traits_type::not_eof(ch);  // Full: drop the character.
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 1024;
+  char data_[kCapacity];
+};
+
 // Accumulates one log line and emits it (to stderr) on destruction.
 class LogMessage {
  public:
@@ -52,7 +76,8 @@ class LogMessage {
 
  private:
   LogLevel level_;
-  std::ostringstream stream_;
+  LineBuffer buffer_;
+  std::ostream stream_{&buffer_};
 };
 
 // Like LogMessage but aborts the process after emitting.
@@ -67,7 +92,8 @@ class FatalLogMessage {
   std::ostream& stream() { return stream_; }
 
  private:
-  std::ostringstream stream_;
+  LineBuffer buffer_;
+  std::ostream stream_{&buffer_};
 };
 
 // Swallows streamed-in values when a log statement is compiled out.

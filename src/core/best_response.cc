@@ -10,6 +10,7 @@
 #include "core/nonconvergence_log.h"
 #include "econ/utility.h"
 #include "numerics/interpolation.h"
+#include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
@@ -36,6 +37,45 @@ double RunningMax(std::size_t total, Term term) {
   double result = 0.0;
   for (double a : acc) result = std::max(result, a);
   return result;
+}
+
+// RelaxLanes' pass for M lanes (0 = runtime `mm`, accumulating straight
+// into the outputs), dispatched like the batched solvers' kernels; the
+// lane loop stays rolled for the loop vectorizer.
+template <std::size_t M>
+__attribute__((always_inline)) inline void RelaxLanesImpl(
+    std::size_t nodes, std::size_t mm, const double* gamma,
+    double* __restrict policy, const double* candidate, const double* value,
+    const double* previous, double* __restrict policy_change,
+    double* __restrict value_change) {
+  const std::size_t m = M ? M : mm;
+  constexpr std::size_t kStatic = M ? M : 1;
+  double dp_s[kStatic], dv_s[kStatic];
+  double* dp = M ? dp_s : policy_change;
+  double* dv = M ? dv_s : value_change;
+  for (std::size_t l = 0; l < m; ++l) {
+    dp[l] = 0.0;
+    dv[l] = 0.0;
+  }
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const std::size_t row = i * m;
+#pragma GCC unroll 1
+    for (std::size_t l = 0; l < m; ++l) {
+      const double p = policy[row + l];
+      const double updated =
+          (1.0 - gamma[l]) * p + gamma[l] * candidate[row + l];
+      dp[l] = std::max(dp[l], std::fabs(updated - p));
+      policy[row + l] = updated;
+      dv[l] = std::max(dv[l],
+                       std::fabs(value[row + l] - previous[row + l]));
+    }
+  }
+  if constexpr (M != 0) {
+    for (std::size_t l = 0; l < m; ++l) {
+      policy_change[l] = dp[l];
+      value_change[l] = dv[l];
+    }
+  }
 }
 
 }  // namespace
@@ -75,34 +115,28 @@ common::Status EstimateMeanFieldInto(const MeanFieldEstimator& estimator,
   return common::Status::Ok();
 }
 
-bool RelaxPolicy(const LearningParams& learning, std::size_t content_id,
-                 std::size_t iter, numerics::TimeField2D& policy,
-                 HjbSolution& hjb_buffer,
-                 std::vector<MeanFieldQuantities>& mean_field,
-                 Equilibrium& eq) {
-  const double gamma = learning.relaxation;
-  double* p = policy.data();
-  const double* h = hjb_buffer.policy.data();
-  const double max_change = RunningMax(
-      policy.size() * policy.cols(), [p, h, gamma](std::size_t k) {
-        const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-        const double change = std::fabs(updated - p[k]);
-        p[k] = updated;
-        return change;
-      });
-  eq.policy_change_history.push_back(max_change);
-  // Value residual vs the previous iteration's surface (still held in
-  // eq.hjb until the swap below).
-  eq.value_change_history.push_back(
-      MaxAbsDifference(hjb_buffer.value, eq.hjb.value));
+MFGCP_BATCH_TARGET_CLONES
+void RelaxLanes(std::span<const double> relaxation, std::size_t nodes,
+                double* policy, const double* candidate, const double* value,
+                const double* previous_value, double* policy_change,
+                double* value_change) {
+  const std::size_t m = relaxation.size();
+#define MFGCP_RELAX_LANES(M)                                                 \
+  RelaxLanesImpl<M>(nodes, m, relaxation.data(), policy, candidate, value, \
+                    previous_value, policy_change, value_change)
+  MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_RELAX_LANES)
+#undef MFGCP_RELAX_LANES
+}
+
+bool RecordIteration(const LearningParams& learning, std::size_t content_id,
+                     std::size_t iter, double policy_change,
+                     double value_change, Equilibrium& eq) {
+  eq.policy_change_history.push_back(policy_change);
+  eq.value_change_history.push_back(value_change);
   MFG_FLIGHT_EVENT(kIteration, 0, content_id,
-                   static_cast<std::uint32_t>(iter), max_change,
-                   eq.value_change_history.back());
-  std::swap(eq.hjb, hjb_buffer);
-  // Expose the *relaxed* policy (the population's actual play).
-  eq.hjb.policy = policy;
-  std::swap(eq.mean_field, mean_field);
-  if (max_change < learning.tolerance) eq.converged = true;
+                   static_cast<std::uint32_t>(iter), policy_change,
+                   value_change);
+  if (policy_change < learning.tolerance) eq.converged = true;
   return eq.converged;
 }
 
@@ -199,42 +233,56 @@ common::Status BestResponseLearner::SolveFromInto(
 
   Equilibrium& eq = out;
   ResetEquilibrium(eq);
-  ws.policy.Assign(nt + 1, nq, initial_rate);
-  numerics::TimeField2D& policy = ws.policy;
+  // The relaxed policy iterate lives in eq.hjb.policy, the population's
+  // actual play. V⁰ = 0: iteration 1's value residual measures against
+  // the zero initialization.
+  eq.hjb.policy.Assign(nt + 1, nq, initial_rate);
+  eq.hjb.value.Assign(nt + 1, nq, 0.0);
 
   // λ trajectory under the initial guess (reuses eq.fpk's density storage
   // when the shape still matches).
   MFG_FAULT_POINT(kFpkStep);
-  MFG_RETURN_IF_ERROR(fpk_.SolveInto(initial, policy, ws.fpk, eq.fpk));
+  MFG_RETURN_IF_ERROR(fpk_.SolveInto(initial, eq.hjb.policy, ws.fpk, eq.fpk));
   eq.hjb.q_grid = eq.fpk.q_grid;
   eq.hjb.dt = eq.fpk.dt;
   eq.policy_change_history.reserve(params_.learning.max_iterations);
   eq.value_change_history.reserve(params_.learning.max_iterations);
 
-  // ws.hjb_buffer and ws.mean_field double-buffer the per-iteration
-  // products: RelaxPolicy swaps them with the copies held in `eq`, so
+  // ws.hjb_buffer.value and ws.mean_field double-buffer the per-iteration
+  // products: each iteration swaps them with the copies held in `eq`, so
   // iteration ψ+1 writes into iteration ψ−1's storage and the loop is
   // allocation-free once both buffers have warmed up.
+  const double relaxation = params_.learning.relaxation;
   for (std::size_t iter = 1; iter <= params_.learning.max_iterations;
        ++iter) {
     eq.iterations = iter;
 
     // (1) Mean-field quantities per time node from (λ, x).
-    MFG_RETURN_IF_ERROR(EstimateMeanFieldInto(estimator_, eq.fpk, policy,
-                                              ws.estimator, ws.mean_field));
+    MFG_RETURN_IF_ERROR(EstimateMeanFieldInto(estimator_, eq.fpk,
+                                              eq.hjb.policy, ws.estimator,
+                                              ws.mean_field));
 
     // (2) Backward HJB -> candidate best response.
     MFG_FAULT_POINT(kHjbStep);
     MFG_RETURN_IF_ERROR(hjb_.SolveInto(ws.mean_field, ws.hjb, ws.hjb_buffer));
 
-    // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
-    if (RelaxPolicy(params_.learning, params_.content_id, iter, policy,
-                    ws.hjb_buffer, ws.mean_field, eq)) {
+    // (3) Relaxed policy update + convergence test (Alg. 2, line 6): the
+    // batched learner's kernel at one lane.
+    double policy_change = 0.0;
+    double value_change = 0.0;
+    RelaxLanes({&relaxation, 1}, (nt + 1) * nq, eq.hjb.policy.data(),
+               ws.hjb_buffer.policy.data(), ws.hjb_buffer.value.data(),
+               eq.hjb.value.data(), &policy_change, &value_change);
+    std::swap(eq.hjb.value, ws.hjb_buffer.value);
+    std::swap(eq.mean_field, ws.mean_field);
+    if (RecordIteration(params_.learning, params_.content_id, iter,
+                        policy_change, value_change, eq)) {
       break;
     }
 
     // (4) Forward FPK under the relaxed policy.
-    MFG_RETURN_IF_ERROR(fpk_.SolveInto(initial, policy, ws.fpk, eq.fpk));
+    MFG_RETURN_IF_ERROR(
+        fpk_.SolveInto(initial, eq.hjb.policy, ws.fpk, eq.fpk));
   }
 
   if (MFG_FAULT_FORCED(kNonConvergence)) eq.converged = false;

@@ -1,6 +1,7 @@
 #ifndef MFGCP_CORE_BEST_RESPONSE_H_
 #define MFGCP_CORE_BEST_RESPONSE_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -57,9 +58,8 @@ double MaxAbsDifference(const numerics::TimeField2D& a,
 // batch learner under a per-lane scope.
 
 // Resets a (possibly reused) `eq` to the fresh-Equilibrium state while
-// keeping every buffer's capacity. Clearing the value surface matters for
-// bit-identity: iteration 1's value residual must measure against the
-// zero initialization, not a previous solve's surface.
+// keeping every buffer's capacity, so no previous solve's surface or
+// trace survives into this one.
 void ResetEquilibrium(Equilibrium& eq);
 
 // Mean-field quantities per time node from (λ = fpk.densities, x =
@@ -70,16 +70,27 @@ common::Status EstimateMeanFieldInto(const MeanFieldEstimator& estimator,
                                      MeanFieldEstimator::Workspace& ws,
                                      std::vector<MeanFieldQuantities>& out);
 
-// Step 3 of iteration `iter`: relaxes `policy` toward hjb_buffer.policy,
-// appends the policy and value residuals, records the kIteration flight
-// event, then swaps the iteration's HJB solution and mean field into `eq`
-// (exposing the relaxed policy as eq.hjb.policy). Returns true, and sets
-// eq.converged, when the policy change fell below the tolerance.
-bool RelaxPolicy(const LearningParams& learning, std::size_t content_id,
-                 std::size_t iter, numerics::TimeField2D& policy,
-                 HjbSolution& hjb_buffer,
-                 std::vector<MeanFieldQuantities>& mean_field,
-                 Equilibrium& eq);
+// Step 3's arithmetic for K contents at once (the lanes), on fields of
+// `nodes` samples per lane in [node][lane] layout (numerics::BatchField;
+// with one lane that is the row-major TimeField2D): the relaxed update
+// x ← (1 − γ_l)·x + γ_l·x̂ in place on `policy`, and per lane the two
+// residuals of Equilibrium's histories, max |Δx| and max |V − V_prev|.
+// One pass with per-lane max accumulators; max is exact and order-free
+// here (every term is |·|, and a NaN term is skipped), so each lane's
+// residuals are the bits of a row-major scan of its own fields.
+// relaxation, policy_change and value_change hold one entry per lane.
+void RelaxLanes(std::span<const double> relaxation, std::size_t nodes,
+                double* policy, const double* candidate, const double* value,
+                const double* previous_value, double* policy_change,
+                double* value_change);
+
+// Step 3's bookkeeping for one content: appends iteration `iter`'s
+// residuals to eq's histories, records the kIteration flight event, and
+// sets eq.converged when the policy change fell below the tolerance.
+// Returns eq.converged.
+bool RecordIteration(const LearningParams& learning, std::size_t content_id,
+                     std::size_t iter, double policy_change,
+                     double value_change, Equilibrium& eq);
 
 // The post-loop epilogue: iterations histogram, converged/nonconverged
 // counters, the rate-limited non-convergence WARN, the kSolveEnd flight
@@ -93,14 +104,14 @@ common::Status FinishSolve(const MeanFieldEstimator& estimator,
 
 class BestResponseLearner {
  public:
-  // Long-lived scratch for SolveInto: the initial density, the relaxed
-  // policy iterate, the sub-solver workspaces, and the double buffers the
-  // fixed-point loop swaps with the Equilibrium. An epoch worker owns one
-  // Workspace for its whole lifetime; every buffer is re-shaped in place,
-  // so repeated solves on the same grid shape never touch the heap.
+  // Long-lived scratch for SolveInto: the initial density, the sub-solver
+  // workspaces, and the double buffers the fixed-point loop swaps with the
+  // Equilibrium (the relaxed policy iterate itself lives in
+  // Equilibrium::hjb.policy). An epoch worker owns one Workspace for its
+  // whole lifetime; every buffer is re-shaped in place, so repeated solves
+  // on the same grid shape never touch the heap.
   struct Workspace {
     numerics::Density1D initial;
-    numerics::TimeField2D policy;
     HjbSolver1D::Workspace hjb;
     FpkSolver1D::Workspace fpk;
     MeanFieldEstimator::Workspace estimator;

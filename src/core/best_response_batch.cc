@@ -36,6 +36,7 @@ void BatchBestResponseLearner::Reset(std::size_t num_lanes) {
   estimators_.resize(num_lanes);
   learning_.resize(num_lanes);
   content_id_.resize(num_lanes);
+  relaxation_.resize(num_lanes);
 }
 
 common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
@@ -62,7 +63,21 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
   ++bound_lanes_;
   learning_[lane] = params.learning;
   content_id_[lane] = params.content_id;
+  relaxation_[lane] = params.learning.relaxation;
   return common::Status::Ok();
+}
+
+void BatchBestResponseLearner::WriteLane(std::size_t l, Workspace& ws,
+                                         Equilibrium& eq) const {
+  const std::size_t nodes = (nt_ + 1) * nq_;
+  fpk_.WriteLane(l, ws.fpk, ws.lanes[l].initial, eq.fpk);
+  eq.hjb.q_grid = eq.fpk.q_grid;
+  eq.hjb.dt = eq.fpk.dt;
+  eq.hjb.value.Assign(nt_ + 1, nq_);
+  eq.hjb.policy.Assign(nt_ + 1, nq_);
+  ws.prev_value.CopyLaneTo(l, 0, {eq.hjb.value.data(), nodes});
+  ws.policy.CopyLaneTo(l, 0, {eq.hjb.policy.data(), nodes});
+  eq.mean_field = ws.lanes[l].mean_field;
 }
 
 void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
@@ -73,18 +88,26 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   MFG_OBS_SCOPED_TIMER("core.best_response.block_seconds");
   const std::size_t m = num_lanes_;
   const std::size_t nt = nt_;
-  const std::size_t nq = nq_;
+  const std::size_t nodes = (nt + 1) * nq_;
+  const std::size_t slab = nq_ * m;
 
   ws.lanes.resize(m);
   ws.estimator_io.resize(m);
   ws.hjb_io.resize(m);
   ws.fpk_io.resize(m);
   ws.running.assign(m, 0);
+  ws.policy_change.resize(m);
+  ws.value_change.resize(m);
+  // The flat 0.5 initial guess, and V⁰ = 0 so that iteration 1's value
+  // residual measures against the zero initialization.
+  ws.policy.Assign(nodes, m, 0.5);
+  ws.prev_value.Assign(nodes, m, 0.0);
 
-  // Per-lane setup: fault poll, initial density, equilibrium reset, flat
-  // initial policy — the scalar SolveInto preamble, lane by lane.
+  // Per-lane setup: fault poll, initial density, equilibrium reset — the
+  // scalar SolveInto preamble, lane by lane.
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
+    ws.estimator_io[l].active = false;
     ws.hjb_io[l].active = false;
     ws.fpk_io[l].active = false;
     if (!job.active) continue;
@@ -97,34 +120,32 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
 
     Equilibrium& eq = *job.out;
     ResetEquilibrium(eq);
-    lane.policy.Assign(nt + 1, nq, 0.5);
+    lane.mean_field.clear();
 
     // λ trajectory under the initial guess; the scalar path polls
     // kFpkStep once, right before this first FPK sweep.
     job.status = LaneFaultCheck(job, faults::FaultSite::kFpkStep);
     if (!job.status.ok()) continue;
+    eq.policy_change_history.reserve(learning_[l].max_iterations);
+    eq.value_change_history.reserve(learning_[l].max_iterations);
     ws.fpk_io[l].initial = &lane.initial;
-    ws.fpk_io[l].policy = &lane.policy;
-    ws.fpk_io[l].solution = &eq.fpk;
     ws.fpk_io[l].active = true;
     ws.hjb_io[l].mean_field = &lane.mean_field;
-    ws.hjb_io[l].solution = &lane.hjb_buffer;
     ws.running[l] = 1;
   }
 
-  fpk_.SolveInto(ws.fpk_io, ws.fpk);
+  // Records a failed lane's status and writes it out.
+  const auto fail = [&](std::size_t l, common::Status status) {
+    lanes[l].status = std::move(status);
+    ws.running[l] = 0;
+    WriteLane(l, ws, *lanes[l].out);
+  };
+
+  fpk_.Sweep(ws.fpk_io, ws.policy, ws.fpk);
   for (std::size_t l = 0; l < m; ++l) {
-    if (!ws.running[l]) continue;
-    if (!ws.fpk_io[l].status.ok()) {
-      lanes[l].status = ws.fpk_io[l].status;
-      ws.running[l] = 0;
-      continue;
+    if (ws.running[l] && !ws.fpk_io[l].status.ok()) {
+      fail(l, ws.fpk_io[l].status);
     }
-    Equilibrium& eq = *lanes[l].out;
-    eq.hjb.q_grid = eq.fpk.q_grid;
-    eq.hjb.dt = eq.fpk.dt;
-    eq.policy_change_history.reserve(learning_[l].max_iterations);
-    eq.value_change_history.reserve(learning_[l].max_iterations);
   }
 
   // Lockstep fixed-point loop. Each round runs one scalar iteration for
@@ -140,6 +161,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       if (!ws.running[l]) continue;
       if (iter > learning_[l].max_iterations) {
         ws.running[l] = 0;
+        WriteLane(l, ws, *lanes[l].out);
         continue;
       }
       lanes[l].out->iterations = iter;
@@ -153,22 +175,24 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     // once.
     for (std::size_t n = 0; n <= nt; ++n) {
       for (std::size_t l = 0; l < m; ++l) {
-        if (!ws.estimator_io[l].active) continue;
-        ws.estimator_io[l].policy = ws.lanes[l].policy[n];
-        ws.estimator_io[l].out = &ws.lanes[l].mean_field[n];
+        if (ws.estimator_io[l].active) {
+          ws.estimator_io[l].out = &ws.lanes[l].mean_field[n];
+        }
       }
-      batch_estimator_.EstimateInto(fpk_.DensityRows(ws.fpk, n),
-                                    ws.estimator_io, ws.estimator);
+      batch_estimator_.EstimateInto(
+          fpk_.DensityRows(ws.fpk, n),
+          std::span<const double>(ws.policy.data() + n * slab, slab),
+          ws.estimator_io, ws.estimator);
     }
 
     // (2) Backward HJB -> candidate best response.
     any = false;
     for (std::size_t l = 0; l < m; ++l) {
       if (!ws.estimator_io[l].active) continue;
-      LaneJob& job = lanes[l];
-      job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
-      if (!job.status.ok()) {
-        ws.running[l] = 0;
+      common::Status status =
+          LaneFaultCheck(lanes[l], faults::FaultSite::kHjbStep);
+      if (!status.ok()) {
+        fail(l, std::move(status));
         continue;
       }
       ws.hjb_io[l].active = true;
@@ -176,36 +200,43 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     }
     if (!any) break;
 
-    hjb_.SolveInto(ws.hjb_io, ws.hjb);
-
+    hjb_.Sweep(ws.hjb_io, ws.hjb);
     for (std::size_t l = 0; l < m; ++l) {
-      if (!ws.hjb_io[l].active) continue;
-      LaneJob& job = lanes[l];
-      if (!ws.hjb_io[l].status.ok()) {
-        job.status = ws.hjb_io[l].status;
-        ws.running[l] = 0;
-        continue;
+      if (ws.hjb_io[l].active && !ws.hjb_io[l].status.ok()) {
+        fail(l, ws.hjb_io[l].status);
       }
-      LaneScratch& lane = ws.lanes[l];
-      Equilibrium& eq = *job.out;
-
-      // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
-      if (RelaxPolicy(learning_[l], content_id_[l], eq.iterations,
-                      lane.policy, lane.hjb_buffer, lane.mean_field, eq)) {
-        ws.running[l] = 0;  // Scalar `break`: skips the FPK sweep.
-        continue;
-      }
-
-      // (4) Forward FPK under the relaxed policy.
-      ws.fpk_io[l].active = true;
     }
 
-    fpk_.SolveInto(ws.fpk_io, ws.fpk);
+    // (3) Relaxed policy update + both residuals for every lane in one
+    // pass (lanes that left the loop compute harmlessly), then each
+    // lane's bookkeeping and convergence test (Alg. 2, line 6). After the
+    // swap, prev_value holds this round's V.
+    RelaxLanes(relaxation_, nodes, ws.policy.data(), ws.hjb.policy.data(),
+               ws.hjb.value.data(), ws.prev_value.data(),
+               ws.policy_change.data(), ws.value_change.data());
+    std::swap(ws.hjb.value, ws.prev_value);
+    any = false;
     for (std::size_t l = 0; l < m; ++l) {
-      if (!ws.fpk_io[l].active) continue;
-      if (!ws.fpk_io[l].status.ok()) {
-        lanes[l].status = ws.fpk_io[l].status;
+      if (!ws.hjb_io[l].active || !ws.running[l]) continue;
+      if (RecordIteration(learning_[l], content_id_[l], iter,
+                          ws.policy_change[l], ws.value_change[l],
+                          *lanes[l].out)) {
+        // Scalar `break`: skips the FPK sweep, which would overwrite this
+        // lane's λ, so the lane is written out now.
         ws.running[l] = 0;
+        WriteLane(l, ws, *lanes[l].out);
+        continue;
+      }
+      ws.fpk_io[l].active = true;
+      any = true;
+    }
+    if (!any) continue;
+
+    // (4) Forward FPK under the relaxed policy.
+    fpk_.Sweep(ws.fpk_io, ws.policy, ws.fpk);
+    for (std::size_t l = 0; l < m; ++l) {
+      if (ws.fpk_io[l].active && !ws.fpk_io[l].status.ok()) {
+        fail(l, ws.fpk_io[l].status);
       }
     }
   }

@@ -22,12 +22,13 @@ namespace {
 // Every expression is FpkSolver1D's explicit substep verbatim, on the same
 // pre-update values, so each lane is bitwise the scalar sweep. The update
 // is masked by a double-wide select (as in the HJB value update), and
-// `bad` accumulates v − v of every updated sample: it stays exactly 0.0
-// iff the lane stayed finite (see numerics::AccumulateNonFiniteLanesInto).
+// `bad` accumulates v − v of every updated sample: v − v is +0.0 for
+// every finite v and NaN for ±inf/NaN, so the sum stays exactly 0.0 iff
+// the lane stayed finite — an unconditional accumulation that vectorizes
+// at any ISA width (the build never enables -ffinite-math-only).
 //
 // M is the compile-time lane count (0 = runtime `mm`, carrying the left
-// face flux in `left_flux`), dispatched like FusedHjbSubstep (here for
-// widths 1, 2, 4 and 8). The lane
+// face flux in `left_flux`), dispatched like FusedHjbSubstep. The lane
 // loop is kept rolled (#pragma GCC unroll 1) so the loop vectorizer maps
 // it to one vector per row at every M: fully unrolled, GCC's
 // straight-line vectorizer judged M = 2 and 4 unprofitable and left them
@@ -82,27 +83,26 @@ void FusedFpkSubstep(std::size_t nq, std::size_t m, const double* vel,
                      const double* d_over_dx, const double* dt_sub_over_dx,
                      const double* update, double* __restrict lam,
                      double* __restrict bad, double* __restrict left_flux) {
-  switch (m) {
-    case 1:
-      FusedFpkSubstepImpl<1>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, bad, left_flux);
-      break;
-    case 2:
-      FusedFpkSubstepImpl<2>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, bad, left_flux);
-      break;
-    case 4:
-      FusedFpkSubstepImpl<4>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, bad, left_flux);
-      break;
-    case 8:
-      FusedFpkSubstepImpl<8>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, bad, left_flux);
-      break;
-    default:
-      FusedFpkSubstepImpl<0>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, bad, left_flux);
-      break;
+#define MFGCP_FPK_SUBSTEP(M)                                              \
+  FusedFpkSubstepImpl<M>(nq, m, vel, d_over_dx, dt_sub_over_dx, update, lam, \
+                         bad, left_flux)
+  MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_FPK_SUBSTEP)
+#undef MFGCP_FPK_SUBSTEP
+}
+
+// The drift b(t_n, q_i) of every lane under its policy slab, as one pass:
+// FpkSolver1D's velocity expression with the lane's node terms.
+MFGCP_BATCH_TARGET_CLONES
+void DriftVelocityInto(std::size_t nq, std::size_t m, const double* nwd,
+                       const double* pol, const double* content_size,
+                       const double* retention, const double* discard,
+                       double* __restrict vel) {
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m;
+    for (std::size_t l = 0; l < m; ++l) {
+      vel[row + l] = content_size[l] * (nwd[row + l] * pol[row + l] -
+                                        retention[l] + discard[l]);
+    }
   }
 }
 
@@ -178,8 +178,54 @@ std::span<const double> FpkBatchSolver::DensityRows(const Workspace& ws,
   return {ws.lambda.data() + n * slab, slab};
 }
 
+void FpkBatchSolver::Sweep(std::span<LaneIo> lanes,
+                           const numerics::BatchField& policy,
+                           Workspace& ws) const {
+  ws.alive.assign(num_lanes_, 0);
+  for (std::size_t l = 0; l < num_lanes_; ++l) {
+    LaneIo& lane = lanes[l];
+    if (!lane.active) continue;
+    MFG_OBS_COUNT("core.fpk.sweeps", 1);
+    lane.status = common::Status::Ok();
+    ws.alive[l] = 1;
+  }
+  Run(lanes, policy.data(), ws);
+}
+
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
-  MFG_OBS_SPAN("FpkBatch.SolveInto");
+  const std::size_t m = num_lanes_;
+  const std::size_t nodes = (nt_ + 1) * nq_;
+  ws.alive.assign(m, 0);
+  ws.policy.Reshape(nodes, m);
+  for (std::size_t l = 0; l < m; ++l) {
+    LaneIo& lane = lanes[l];
+    if (!lane.active) continue;
+    MFG_OBS_COUNT("core.fpk.sweeps", 1);
+    lane.status = BeginFpkSolve(params_[l], grids_[l], *lane.initial,
+                                *lane.policy, *lane.solution);
+    if (!lane.status.ok()) continue;
+    ws.alive[l] = 1;
+    ws.policy.CopyLaneFrom(l, 0, {lane.policy->data(), nodes});
+  }
+  Run(lanes, ws.policy.data(), ws);
+  for (std::size_t l = 0; l < m; ++l) {
+    if (!lanes[l].active || !lanes[l].status.ok()) continue;
+    WriteLane(l, ws, *lanes[l].initial, *lanes[l].solution);
+  }
+}
+
+void FpkBatchSolver::WriteLane(std::size_t lane, const Workspace& ws,
+                               const numerics::Density1D& initial,
+                               FpkSolution& out) const {
+  ShapeFpkSolution(params_[lane], grids_[lane], initial, out);
+  for (std::size_t n = 1; n <= nt_; ++n) {
+    ws.lambda.CopyLaneTo(lane, n * nq_, out.densities[n].mutable_values());
+  }
+}
+
+void FpkBatchSolver::Run(std::span<LaneIo> lanes, const double* policy,
+                         Workspace& ws) const {
+  MFG_OBS_SPAN("FpkBatch.Sweep");
   // Per K-lane call (the per-content sweep counter is core.fpk.sweeps).
   MFG_OBS_SCOPED_TIMER("core.fpk.block_seconds");
   const std::size_t m = num_lanes_;
@@ -188,7 +234,6 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
   std::vector<std::uint8_t>& alive = ws.alive;
   std::vector<double>& update = ws.update;
-  alive.assign(m, 0);
   update.assign(m, 0.0);
   ws.bad.assign(m, 0.0);
   ws.clip_mass.assign(m, 0.0);
@@ -196,32 +241,21 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
   std::size_t max_substeps = 0;
   for (std::size_t l = 0; l < m; ++l) {
-    LaneIo& lane = lanes[l];
-    if (!lane.active) continue;
-    MFG_OBS_COUNT("core.fpk.sweeps", 1);
-    lane.status = BeginFpkSolve(params_[l], grids_[l], *lane.initial,
-                                *lane.policy, *lane.solution);
-    if (!lane.status.ok()) continue;
-    alive[l] = 1;
-    max_substeps = std::max(max_substeps, substeps_[l]);
+    if (alive[l]) max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
-  // Only a new shape needs the fill: live lanes' columns are written
+  // Only a new shape costs anything: live lanes' columns are written
   // below before they are read, and dead lanes' columns, whatever they
   // hold, never reach an output.
   const std::size_t slab = nq * m;
-  if (ws.lambda.nodes() != (nt + 1) * nq || ws.lambda.lanes() != m) {
-    ws.lambda.Assign((nt + 1) * nq, m, 0.0);
-  }
-  ws.velocity.Assign(nq, m, 0.0);
+  ws.lambda.Reshape((nt + 1) * nq, m);
+  ws.velocity.Reshape(nq, m);
   ws.left_flux.resize(m);
-  double* lam0 = ws.lambda.data();
   for (std::size_t l = 0; l < m; ++l) {
-    if (!alive[l]) continue;
-    const std::vector<double>& init = lanes[l].initial->values();
-    for (std::size_t i = 0; i < nq; ++i) lam0[i * m + l] = init[i];
+    if (alive[l]) ws.lambda.CopyLaneFrom(l, 0, lanes[l].initial->values());
   }
 
+  double* lam0 = ws.lambda.data();
   double* vel = ws.velocity.data();
   const double* nwd = neg_w1_avail_.data();
   const double* d_dx = d_over_dx_.data();
@@ -232,18 +266,9 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     double* lam = lam0 + (n + 1) * slab;
     std::copy(lam - slab, lam, lam);
 
-    // Drift under the node-n policy slice, gathered per lane from its
-    // (row-major, per-content) policy field.
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      const double retention = retention_.at(n, l);
-      const double discard = discard_.at(n, l);
-      const auto policy_row = (*lanes[l].policy)[n];
-      for (std::size_t i = 0; i < nq; ++i) {
-        vel[i * m + l] = content_size_[l] * (nwd[i * m + l] * policy_row[i] -
-                                             retention + discard);
-      }
-    }
+    // Drift under the node-n policy slab.
+    DriftVelocityInto(nq, m, nwd, policy + n * slab, content_size_.data(),
+                      retention_[n].data(), discard_[n].data(), vel);
 
     for (std::size_t sub = 0; sub < max_substeps; ++sub) {
       for (std::size_t l = 0; l < m; ++l) {
@@ -263,19 +288,14 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     }
 
     // Lane-parallel clip-and-normalize in SoA layout (bit-identical to the
-    // scalar Density1D::ClipAndNormalize per lane), then scatter each live
-    // lane's normalized row into its Density1D. A lane whose mass
+    // scalar Density1D::ClipAndNormalize per lane). A lane whose mass
     // underflows keeps its clipped row (the scalar failure path leaves out
     // the same way) and drops out.
     numerics::ClipAndNormalizeBatchInto(std::span<const double>(dx_),
                                         std::span<double>(lam, slab),
                                         ws.clip_mass, ws.clip_failed);
     for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      numerics::Density1D& out = lanes[l].solution->densities[n + 1];
-      std::vector<double>& values = out.mutable_values();
-      for (std::size_t i = 0; i < nq; ++i) values[i] = lam[i * m + l];
-      if (ws.clip_failed[l] != 0) {
+      if (alive[l] && ws.clip_failed[l] != 0) {
         lanes[l].status = common::Status::NumericalError("density mass is ~0");
         alive[l] = 0;
       }
@@ -286,8 +306,7 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kFpkSweep, 0, params_[l].content_id, 0,
                      static_cast<double>(substeps_[l]),
-                     obs::FlightMaxAbs(std::span<const double>(
-                         lanes[l].solution->densities[nt].values())));
+                     obs::FlightMaxAbs(lam0 + nt * slab + l, nq, m));
   }
 }
 

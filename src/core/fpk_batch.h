@@ -22,13 +22,17 @@
 // own functions.
 //
 // λ stays in the batch layout end to end: the workspace keeps every time
-// node's [node][lane] rows, each substep is one fused pass over them
-// (face flux, flux-divergence update and finiteness check), the
+// node's [node][lane] rows, the drift of a time node is one vectorized
+// pass over the policy slab, each substep is one fused pass over the rows
+// (face flux, flux-divergence update and finiteness check), and the
 // ClipAndNormalize guard runs lane-parallel
 // (numerics::ClipAndNormalizeBatchInto, the scalar accumulation order per
-// lane), and each time node's normalized rows are scattered into the
-// lanes' Density1D outputs. DensityRows hands the kept rows to the
-// lane-parallel mean-field estimator.
+// lane). Sweep() is the batch core: it reads the policy from a
+// [time·node][lane] field and leaves λ in Workspace::lambda, where the
+// lane-parallel mean-field estimator reads it (DensityRows) and the
+// learner writes a lane out once it leaves its loop (WriteLane).
+// SolveInto() is the per-content adapter: each lane's policy gathered
+// into that layout, Sweep, each lane written to its FpkSolution.
 //
 // Only explicit stepping is batched: BindLane rejects a grid.implicit_fpk
 // lane, and the epoch path solves implicit-FPK contents on the scalar
@@ -41,10 +45,14 @@ class FpkBatchSolver {
  public:
   struct Workspace {
     // (nt + 1) · nq nodes: time node n's rows start at node n · nq. After
-    // a solve, a lane that was active and did not fail holds its
-    // trajectory there (densities[n] of its output, bit for bit).
+    // a sweep, a lane that was active and did not fail holds its
+    // trajectory there (densities[n] of its output, bit for bit). Every
+    // sweep rewrites every column, so a lane must be written out before
+    // the next sweep on this workspace.
     numerics::BatchField lambda;
     numerics::BatchField velocity;
+    // SolveInto's gather of the lanes' policies ([time·node][lane]).
+    numerics::BatchField policy;
     std::vector<std::uint8_t> alive;
     // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
     // update select and the divergence accumulator vectorize only when the
@@ -57,6 +65,8 @@ class FpkBatchSolver {
     std::vector<std::uint8_t> clip_failed;
   };
 
+  // Per-lane IO. Sweep() reads only `initial` (the other pointers may be
+  // null); SolveInto() reads `policy` and writes *solution.
   struct LaneIo {
     const numerics::Density1D* initial = nullptr;
     const numerics::TimeField2D* policy = nullptr;
@@ -79,7 +89,20 @@ class FpkBatchSolver {
   common::Status MakeInitialDensityInto(std::size_t lane,
                                         numerics::Density1D& out) const;
 
+  // The batch core: steps every active lane from its initial density under
+  // `policy` ((nt + 1)·nq rows, [time·node][lane]) into ws.lambda.
+  // lanes.size() must equal num_lanes(); statuses are per lane.
+  void Sweep(std::span<LaneIo> lanes, const numerics::BatchField& policy,
+             Workspace& ws) const;
+
+  // Gather, Sweep, and each active lane that succeeded written to
+  // *solution.
   void SolveInto(std::span<LaneIo> lanes, Workspace& ws) const;
+
+  // Writes lane `lane`'s trajectory from the last sweep on `ws` into `out`
+  // (shaped by ShapeFpkSolution; densities[0] = `initial`).
+  void WriteLane(std::size_t lane, const Workspace& ws,
+                 const numerics::Density1D& initial, FpkSolution& out) const;
 
   // Time node n's density rows from the last SolveInto on `ws`: nq ×
   // num_lanes() samples, [node][lane] (see Workspace::lambda).
@@ -91,6 +114,11 @@ class FpkBatchSolver {
   std::size_t bound_lanes_ = 0;
   std::size_t nq_ = 0;
   std::size_t nt_ = 0;
+
+  // Steps the lanes flagged in ws.alive (set by the caller, which also
+  // counts the sweeps) under the [time·node][lane] policy at `policy`.
+  void Run(std::span<LaneIo> lanes, const double* policy,
+           Workspace& ws) const;
 
   std::vector<MfgParams> params_;
   std::vector<numerics::Grid1D> grids_;

@@ -26,6 +26,14 @@ common::Status BeginFpkSolve(const MfgParams& params,
   if (policy.cols() != q_grid.size()) {
     return common::Status::InvalidArgument("policy slice size mismatch");
   }
+  ShapeFpkSolution(params, q_grid, initial, solution);
+  return common::Status::Ok();
+}
+
+void ShapeFpkSolution(const MfgParams& params, const numerics::Grid1D& q_grid,
+                      const numerics::Density1D& initial,
+                      FpkSolution& solution) {
+  const std::size_t nt = params.grid.num_time_steps;
   solution.q_grid = q_grid;
   solution.dt = params.TimeStep();
   const bool reuse = solution.densities.size() == nt + 1 &&
@@ -39,7 +47,6 @@ common::Status BeginFpkSolve(const MfgParams& params,
   } else {
     solution.densities.front().mutable_values() = initial.values();
   }
-  return common::Status::Ok();
 }
 
 common::Status MakeInitialDensityInto(const MfgParams& params,

@@ -39,11 +39,17 @@ struct FpkSolution {
   std::size_t num_time_nodes() const { return densities.size(); }
 };
 
+// Sets the solution's grid and step and reuses its density storage when
+// the shape still matches (the steady state of the best-response loop),
+// rebuilding it otherwise; densities[0] holds `initial` on return. The
+// batched solvers shape each lane's output with it when they write the
+// lane out.
+void ShapeFpkSolution(const MfgParams& params, const numerics::Grid1D& q_grid,
+                      const numerics::Density1D& initial,
+                      FpkSolution& solution);
+
 // The per-solve preamble both FPK solvers run for one content: checks the
-// initial density's grid and the policy's shape, then sets the solution's
-// grid and step and reuses its density storage when the shape still
-// matches (the steady state of the best-response loop), rebuilding it
-// otherwise. densities[0] holds `initial` on return.
+// initial density's grid and the policy's shape, then ShapeFpkSolution.
 common::Status BeginFpkSolve(const MfgParams& params,
                              const numerics::Grid1D& q_grid,
                              const numerics::Density1D& initial,

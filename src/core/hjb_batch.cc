@@ -5,7 +5,6 @@
 
 #include "common/math_util.h"
 #include "econ/smooth_heaviside.h"
-#include "numerics/finite_difference.h"
 #include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
@@ -34,9 +33,11 @@ using econ::Logistic;
 // branch is pre-folded into p2_factor/p2_extra/gated_share_price (see
 // Workspace); p3 = fq·fgt + fq·extra reproduces both scalar branches
 // bit-for-bit because the gated term is exactly +0.0 on the disabled side.
-MFGCP_BATCH_TARGET_CLONES
-void FoldControlIndependentTerms(
-    std::size_t nq, std::size_t m, const double* p1d, const double* fqd,
+// M is the compile-time lane count (0 = runtime `mm`), dispatched like
+// the substep below; the lane loop stays rolled for the loop vectorizer.
+template <std::size_t M>
+__attribute__((always_inline)) inline void FoldImpl(
+    std::size_t nq, std::size_t mm, const double* p1d, const double* fqd,
     const double* sod, const double* qpd, const double* qcd,
     const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
     const double* served_peer, const double* content_size,
@@ -44,8 +45,10 @@ void FoldControlIndependentTerms(
     const double* inv_ond, const double* gated_share_price,
     const double* peer, const double* share_n, const double* eta2,
     double* __restrict based) {
+  const std::size_t m = M ? M : mm;
   for (std::size_t i = 0; i < nq; ++i) {
     const std::size_t row = i * m;
+#pragma GCC unroll 1
     for (std::size_t l = 0; l < m; ++l) {
       const double p1 = p1d[row + l];
       const double fq = fqd[row + l];
@@ -69,6 +72,24 @@ void FoldControlIndependentTerms(
           trading + share_n[l] - eta2[l] * rest_delay - sharing_cost;
     }
   }
+}
+
+MFGCP_BATCH_TARGET_CLONES
+void FoldControlIndependentTerms(
+    std::size_t nq, std::size_t m, const double* p1d, const double* fqd,
+    const double* sod, const double* qpd, const double* qcd,
+    const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
+    const double* served_peer, const double* content_size,
+    const double* num_requests, const double* price, const double* inv_edge,
+    const double* inv_ond, const double* gated_share_price,
+    const double* peer, const double* share_n, const double* eta2,
+    double* __restrict based) {
+#define MFGCP_HJB_FOLD(M)                                                   \
+  FoldImpl<M>(nq, m, p1d, fqd, sod, qpd, qcd, p2_factor, fpeer_gt, p2_extra, \
+              served_peer, content_size, num_requests, price, inv_edge,      \
+              inv_ond, gated_share_price, peer, share_n, eta2, based)
+  MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_HJB_FOLD)
+#undef MFGCP_HJB_FOLD
 }
 
 // One whole CFL substep — gradient, Theorem-1 control, drift, upwind
@@ -97,15 +118,25 @@ void FoldControlIndependentTerms(
 //   v       += dt_sub·(drift·dvu + D·d²v + base − w4·x − w5·x² −
 //              k_delay·x·a)                      (masked by select)
 //
-// M is the compile-time lane count (0 = runtime `mm`): the batch width is
-// 8 by default (mfg_cp.h), and with M fixed the lane loops fully unroll —
-// one 64-byte vector per row under AVX-512 — and the rotation rows promote
-// to registers. The runtime-M fallback rotates pointers through the `rot`
-// scratch (4·m doubles: three rotation rows plus the carried d²v row).
-// always_inline: the body must be inlined into every ISA clone of the
-// dispatcher below so the lane loops vectorize at that clone's width; an
-// out-of-line instantiation would be compiled once at baseline SSE2.
-template <std::size_t M>
+// kCheck (the last substep of a time node) also accumulates v − v of every
+// stored sample into bad[l], which stays exactly 0.0 iff the lane's value
+// surface is finite (as FusedFpkSubstep's accumulator does). Checking
+// the last substep suffices: a non-finite sample never becomes finite
+// again (inf/NaN propagate through the affine update, and the select keeps
+// a masked lane's bits), so a lane that diverged at any substep of the
+// node is caught with the scalar solver's time-node error.
+//
+// M is the compile-time lane count (0 = runtime `mm`): with M fixed the
+// rotation rows are local arrays and each lane loop maps to whole vectors
+// — one 64-byte vector per row under AVX-512 at M = 8. The lane loops are
+// kept rolled (#pragma GCC unroll 1) for the loop vectorizer, as in
+// fpk_batch.cc; fully unrolled, widths 4 and 8 ran 10–14 % slower. The
+// runtime-M fallback rotates pointers through the `rot` scratch (4·m
+// doubles: three rotation rows plus the carried d²v row). always_inline:
+// the body must be inlined into every ISA clone of the dispatcher below
+// so the lane loops vectorize at that clone's width; an out-of-line
+// instantiation would be compiled once at baseline SSE2.
+template <std::size_t M, bool kCheck>
 __attribute__((always_inline)) inline void FusedSubstepImpl(
     std::size_t nq, std::size_t mm, const double* avd, const double* csnw,
     const double* based, const double* inv_dx, const double* inv_2dx,
@@ -113,24 +144,29 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
     const double* inv_2w5, const double* opt_k1, const double* opt_k2,
     const double* cs_rd, const double* k_delay, const double* diffusion,
     const double* dt_sub, const double* update, double* __restrict vd,
-    double* rot) {
+    double* rot, double* __restrict bad) {
   const std::size_t m = M ? M : mm;
   constexpr std::size_t kStatic = M ? M : 1;
-  // Rotation storage: fixed-size locals for compile-time M (unrolled into
-  // registers), pointer-cycled scratch rows otherwise.
-  double vm_s[kStatic], vi_s[kStatic], vp_s[kStatic], d2_s[kStatic];
+  // Rotation storage: fixed-size locals for compile-time M, pointer-cycled
+  // scratch rows otherwise.
+  double vm_s[kStatic], vi_s[kStatic], vp_s[kStatic], d2_s[kStatic],
+      acc_s[kStatic];
   double* vm = M ? vm_s : rot;
   double* vi = M ? vi_s : rot + m;
   double* vp = M ? vp_s : rot + 2 * m;
   double* d2_prev = M ? d2_s : rot + 3 * m;
+  double* acc = M ? acc_s : bad;
+#pragma GCC unroll 1
   for (std::size_t l = 0; l < m; ++l) {
     vm[l] = vd[l];
     vi[l] = vd[m + l];
     vp[l] = vd[2 * m + l];
+    if constexpr (kCheck) acc[l] = 0.0;
   }
 
   // Row 0: one-sided gradient; the upwind branches coincide on the same
   // difference; d²v copies interior row 1 (computed from old rows 0..2).
+#pragma GCC unroll 1
   for (std::size_t l = 0; l < m; ++l) {
     const double dv = (vi[l] - vm[l]) * inv_dx[l];
     const double numerator =
@@ -143,13 +179,16 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
     const double utility = based[l] - placement - k_delay[l] * x * avd[l];
     const double hamiltonian = drift * dvu + diffusion[l] * d2_1 + utility;
     const double updated = vm[l] + dt_sub[l] * hamiltonian;
-    vd[l] = numerics::LaneSelect(update[l], updated, vm[l]);
+    const double v = numerics::LaneSelect(update[l], updated, vm[l]);
+    vd[l] = v;
+    if constexpr (kCheck) acc[l] += v - v;
     d2_prev[l] = d2_1;
   }
 
   for (std::size_t i = 1; i + 1 < nq; ++i) {
     const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
+  #pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
       const double dv = (vp[l] - vm[l]) * inv_2dx[l];
       const double numerator =
           w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
@@ -167,7 +206,9 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
           based[row + l] - placement - k_delay[l] * x * avd[row + l];
       const double hamiltonian = drift * dvu + diffusion[l] * d2 + utility;
       const double updated = vi[l] + dt_sub[l] * hamiltonian;
-      vd[row + l] = numerics::LaneSelect(update[l], updated, vi[l]);
+      const double v = numerics::LaneSelect(update[l], updated, vi[l]);
+      vd[row + l] = v;
+      if constexpr (kCheck) acc[l] += v - v;
       d2_prev[l] = d2;
     }
     if (i + 2 < nq) {
@@ -176,11 +217,13 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
         vm = vi;
         vi = vp;
         vp = recycled;
-        for (std::size_t l = 0; l < m; ++l) {
+      #pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
           vp[l] = vd[(i + 2) * m + l];
         }
       } else {
-        for (std::size_t l = 0; l < m; ++l) {
+      #pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
           vm[l] = vi[l];
           vi[l] = vp[l];
           vp[l] = vd[(i + 2) * m + l];
@@ -193,7 +236,8 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
   // carried interior d²v row, on old values vi = v[n−2], vp = v[n−1].
   {
     const std::size_t row = (nq - 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
+  #pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
       const double dv = (vp[l] - vi[l]) * inv_dx[l];
       const double numerator =
           w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
@@ -206,7 +250,12 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
       const double hamiltonian =
           drift * dvu + diffusion[l] * d2_prev[l] + utility;
       const double updated = vp[l] + dt_sub[l] * hamiltonian;
-      vd[row + l] = numerics::LaneSelect(update[l], updated, vp[l]);
+      const double v = numerics::LaneSelect(update[l], updated, vp[l]);
+      vd[row + l] = v;
+      if constexpr (kCheck) {
+        acc[l] += v - v;
+        if constexpr (M != 0) bad[l] = acc[l];
+      }
     }
   }
 }
@@ -222,47 +271,66 @@ void FusedHjbSubstep(
     const double* inv_dx2, const double* w4, const double* w5,
     const double* inv_2w5, const double* opt_k1, const double* opt_k2,
     const double* cs_rd, const double* k_delay, const double* diffusion,
-    const double* dt_sub, const double* update, double* __restrict vd,
-    double* rot) {
-  switch (m) {
-    case 2:
-      FusedSubstepImpl<2>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    case 4:
-      FusedSubstepImpl<4>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    case 8:
-      FusedSubstepImpl<8>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    default:
-      FusedSubstepImpl<0>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
+    const double* dt_sub, const double* update, bool check,
+    double* __restrict vd, double* rot, double* __restrict bad) {
+#define MFGCP_HJB_SUBSTEP(M, CHECK)                                          \
+  FusedSubstepImpl<M, CHECK>(nq, m, avd, csnw, based, inv_dx, inv_2dx,       \
+                             inv_dx2, w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, \
+                             k_delay, diffusion, dt_sub, update, vd, rot, bad)
+#define MFGCP_HJB_SUBSTEP_CHECKED(M) MFGCP_HJB_SUBSTEP(M, true)
+#define MFGCP_HJB_SUBSTEP_UNCHECKED(M) MFGCP_HJB_SUBSTEP(M, false)
+  if (check) {
+    MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_HJB_SUBSTEP_CHECKED)
+  } else {
+    MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_HJB_SUBSTEP_UNCHECKED)
+  }
+#undef MFGCP_HJB_SUBSTEP_UNCHECKED
+#undef MFGCP_HJB_SUBSTEP_CHECKED
+#undef MFGCP_HJB_SUBSTEP
+}
+
+// The Theorem-1 policy of a value slab — GradientInto's stencil and
+// OptimalRate's expression fused into one pass, written straight into the
+// policy slab (the terminal condition and every output time node).
+template <std::size_t M>
+__attribute__((always_inline)) inline void PolicyImpl(
+    std::size_t nq, std::size_t mm, const double* vd, const double* avd,
+    const double* w4, const double* inv_2w5, const double* opt_k1,
+    const double* opt_k2, const double* inv_dx, const double* inv_2dx,
+    double* __restrict xsd) {
+  const std::size_t m = M ? M : mm;
+  const auto rate = [&](std::size_t k, std::size_t l, double dv) {
+    const double numerator = w4[l] + avd[k] * (opt_k1[l] + opt_k2[l] * dv);
+    xsd[k] = ClampUnit(-numerator * inv_2w5[l]);
+  };
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
+    rate(l, l, (vd[m + l] - vd[l]) * inv_dx[l]);
+  }
+  for (std::size_t i = 1; i + 1 < nq; ++i) {
+    const std::size_t row = i * m;
+#pragma GCC unroll 1
+    for (std::size_t l = 0; l < m; ++l) {
+      rate(row + l, l, (vd[row + m + l] - vd[row - m + l]) * inv_2dx[l]);
+    }
+  }
+  const std::size_t last = (nq - 1) * m;
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < m; ++l) {
+    rate(last + l, l, (vd[last + l] - vd[last - m + l]) * inv_dx[l]);
   }
 }
 
-// The Theorem-1 policy alone (the terminal condition and the per-node
-// policy scatter), same control expression as ComputeControlAndDrift.
 MFGCP_BATCH_TARGET_CLONES
-void ComputePolicyBatch(std::size_t nq, std::size_t m, const double* dvd,
-                        const double* avd, const double* w4,
-                        const double* inv_2w5, const double* opt_k1,
-                        const double* opt_k2, double* __restrict xsd) {
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double numerator =
-          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dvd[row + l]);
-      xsd[row + l] = ClampUnit(-numerator * inv_2w5[l]);
-    }
-  }
+void PolicyFromValue(std::size_t nq, std::size_t m, const double* vd,
+                     const double* avd, const double* w4,
+                     const double* inv_2w5, const double* opt_k1,
+                     const double* opt_k2, const double* inv_dx,
+                     const double* inv_2dx, double* __restrict xsd) {
+#define MFGCP_HJB_POLICY(M) \
+  PolicyImpl<M>(nq, m, vd, avd, w4, inv_2w5, opt_k1, opt_k2, inv_dx, inv_2dx, xsd)
+  MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_HJB_POLICY)
+#undef MFGCP_HJB_POLICY
 }
 
 }  // namespace
@@ -278,13 +346,13 @@ void HjbBatchSolver::Reset(std::size_t num_lanes) {
   eta2_.resize(num_lanes);
   w4_.resize(num_lanes);
   w5_.resize(num_lanes);
-  sharing_price_.resize(num_lanes);
+  gated_share_price_.resize(num_lanes);
   threshold_.resize(num_lanes);
   sharpness_.resize(num_lanes);
+  sharing_.resize(num_lanes);
   dt_sub_.resize(num_lanes);
   diffusion_.resize(num_lanes);
   substeps_.resize(num_lanes);
-  sharing_.resize(num_lanes);
   inv_2w5_.resize(num_lanes);
   k_delay_.resize(num_lanes);
   inv_edge_.resize(num_lanes);
@@ -314,6 +382,8 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     served_own_.Assign(nq, num_lanes_, 0.0);
     q_pos_.Assign(nq, num_lanes_, 0.0);
     cs_nw_.Assign(nq, num_lanes_, 0.0);
+    cs_rd_.Assign(nt, num_lanes_, 0.0);
+    num_requests_.Assign(nt, num_lanes_, 0.0);
   } else if (nq != nq_ || nt != nt_) {
     return common::Status::InvalidArgument(
         "batch lanes must share the grid shape");
@@ -339,6 +409,11 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     served_own_.at(i, lane) = std::max(content_size - q, 0.0);
     q_pos_.at(i, lane) = std::max(q, 0.0);
   }
+  for (std::size_t n = 0; n < nt; ++n) {
+    const NodeDriftTerms terms = params.DriftTermsAt(n);
+    cs_rd_.at(n, lane) = content_size * (terms.retention - terms.discard);
+    num_requests_.at(n, lane) = params.RequestsAt(n);
+  }
   opt_k1_[lane] = tables_.opt_k1;
   opt_k2_[lane] = tables_.opt_k2;
   inv_2w5_[lane] = tables_.inv_2w5;
@@ -350,7 +425,8 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
   eta2_[lane] = params.utility.staleness.eta2;
   w4_[lane] = params.utility.placement.w4;
   w5_[lane] = params.utility.placement.w5;
-  sharing_price_[lane] = params.utility.sharing_price;
+  gated_share_price_[lane] =
+      params.sharing_enabled ? params.utility.sharing_price : 0.0;
   threshold_[lane] = threshold;
   sharpness_[lane] = sharpness;
   sharing_[lane] = params.sharing_enabled ? 1 : 0;
@@ -366,13 +442,14 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
   return common::Status::Ok();
 }
 
-void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
-  MFG_OBS_SPAN("HjbBatch.SolveInto");
+void HjbBatchSolver::Sweep(std::span<LaneIo> lanes, Workspace& ws) const {
+  MFG_OBS_SPAN("HjbBatch.Sweep");
   // Per K-lane call (the per-content sweep counter is core.hjb.sweeps).
   MFG_OBS_SCOPED_TIMER("core.hjb.block_seconds");
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;
+  const std::size_t slab = nq * m;
 
   // `alive` tracks lanes still advancing; a lane leaves the batch on the
   // same condition that fails the scalar solve.
@@ -387,31 +464,25 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     MFG_OBS_COUNT("core.hjb.sweeps", 1);
-    lane.status = BeginHjbSolve(params_[l], grids_[l],
-                                lane.mean_field->size(), *lane.solution);
+    lane.status = CheckHjbInputs(params_[l], lane.mean_field->size());
     if (!lane.status.ok()) continue;
     alive[l] = 1;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
-  ws.v.Assign(nq, m, 0.0);
-  ws.dv.Assign(nq, m, 0.0);
-  ws.x_star.Assign(nq, m, 0.0);
-  ws.base.Assign(nq, m, 0.0);
-  ws.rot.assign(4 * m, 0.0);
-  ws.p2_factor.assign(m, 0.0);
-  ws.fpeer_gt.assign(m, 0.0);
-  ws.p2_extra.assign(m, 0.0);
-  ws.gated_share_price.assign(m, 0.0);
-  ws.cs_rd.assign(m, 0.0);
-  ws.share_n.assign(m, 0.0);
-  ws.served_peer.assign(m, 0.0);
-  ws.num_requests.assign(m, 0.0);
-  ws.price.assign(m, 0.0);
-  ws.peer.assign(m, 0.0);
-
-  const std::span<const double> inv_dx_span(inv_dx_);
-  const std::span<const double> inv_2dx_span(inv_2dx_);
+  // Every row below is written before it is read, so only a new shape
+  // costs anything here.
+  ws.value.Reshape((nt + 1) * nq, m);
+  ws.policy.Reshape((nt + 1) * nq, m);
+  ws.base.Reshape(nq, m);
+  ws.rot.resize(4 * m);
+  ws.p2_factor.resize(m);
+  ws.fpeer_gt.resize(m);
+  ws.p2_extra.resize(m);
+  ws.share_n.resize(m);
+  ws.served_peer.resize(m);
+  ws.price.resize(m);
+  ws.peer.resize(m);
 
   // Hoisted data pointers for the hot helpers: handing the per-lane tables
   // over as plain pointers (instead of member-vector reads inside the
@@ -436,36 +507,30 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   const double* eta2 = eta2_.data();
   const double* diffusion = diffusion_.data();
   const double* dt_sub = dt_sub_.data();
+  const double* i_dx = inv_dx_.data();
+  const double* i_2dx = inv_2dx_.data();
+  const double* i_dx2 = inv_dx2_.data();
+  double* value = ws.value.data();
+  double* policy = ws.policy.data();
 
   // Terminal condition V(T, ·) = 0 and the corresponding terminal policy.
-  // The policy is computed in batch layout by the vectorized helper
-  // (reusing ws.x_star) and then scattered per lane — a strided copy is
-  // much cheaper than evaluating Theorem 1 element-by-element down a
-  // 64-byte-strided column.
-  numerics::GradientBatchInto(inv_dx_span, inv_2dx_span, ws.v, ws.dv);
-  ComputePolicyBatch(nq, m, ws.dv.data(), avd, w4, i2w5, k1, k2,
-                     ws.x_star.data());
-  for (std::size_t l = 0; l < m; ++l) {
-    if (!alive[l]) continue;
-    const auto policy_row = lanes[l].solution->policy[nt];
-    for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = ws.x_star.at(i, l);
-    }
-  }
+  std::fill(value + nt * slab, value + (nt + 1) * slab, 0.0);
+  PolicyFromValue(nq, m, value + nt * slab, avd, w4, i2w5, k1, k2, i_dx,
+                  i_2dx, policy + nt * slab);
 
   for (std::size_t n = nt; n-- > 0;) {
-    // Per-lane per-node folds; the two logistics here are the only
-    // transcendentals of the whole output interval.
+    // Time node n's value starts as node n+1's and is stepped in place.
+    double* v = value + n * slab;
+    std::copy(v + slab, v + 2 * slab, v);
+
+    // Per-lane per-node folds of the mean field; the two logistics here
+    // are the only transcendentals of the whole output interval.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
       const MeanFieldQuantities& mf = (*lanes[l].mean_field)[n];
-      const MfgParams& params = params_[l];
+      const bool sharing = sharing_[l] != 0;
       ws.peer[l] = mf.mean_peer_remaining;
       ws.price[l] = mf.price;
-      ws.num_requests[l] = params.RequestsAt(n);
-      const NodeDriftTerms terms = params.DriftTermsAt(n);
-      ws.cs_rd[l] = content_size_[l] * (terms.retention - terms.discard);
-      const bool sharing = sharing_[l] != 0;
       ws.share_n[l] = sharing ? mf.sharing_benefit : 0.0;
       ws.served_peer[l] = std::max(content_size_[l] - ws.peer[l], 0.0);
       const double fpeer_le =
@@ -473,37 +538,30 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       ws.fpeer_gt[l] = Logistic(sharpness_[l], ws.peer[l] - threshold_[l]);
       ws.p2_factor[l] = sharing ? fpeer_le : 0.0;
       ws.p2_extra[l] = sharing ? 0.0 : fpeer_le;
-      ws.gated_share_price[l] = sharing ? sharing_price_[l] : 0.0;
     }
+    const double* cs_rd = cs_rd_[n].data();
 
     // Control-independent fold, collapsed into the single per-node table
     // ws.base — the scalar loop with the separable case factors
-    // substituted. Dead lanes compute garbage that is never scattered.
+    // substituted. Dead lanes compute garbage that never reaches an
+    // output.
     FoldControlIndependentTerms(
         nq, m, p1d, fqd, sod, qpd, qcd, ws.p2_factor.data(),
         ws.fpeer_gt.data(), ws.p2_extra.data(), ws.served_peer.data(), cs,
-        ws.num_requests.data(), ws.price.data(), i_edge, i_ond,
-        ws.gated_share_price.data(), ws.peer.data(), ws.share_n.data(),
-        eta2, ws.base.data());
+        num_requests_[n].data(), ws.price.data(), i_edge, i_ond,
+        gated_share_price_.data(), ws.peer.data(), ws.share_n.data(), eta2,
+        ws.base.data());
 
     for (std::size_t sub = 0; sub < max_substeps; ++sub) {
       for (std::size_t l = 0; l < m; ++l) {
         update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
       }
-      FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), inv_dx_.data(),
-                      inv_2dx_.data(), inv_dx2_.data(), w4, w5, i2w5, k1, k2,
-                      ws.cs_rd.data(), kdel, diffusion, dt_sub, update.data(),
-                      ws.v.data(), ws.rot.data());
+      FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), i_dx, i_2dx, i_dx2,
+                      w4, w5, i2w5, k1, k2, cs_rd, kdel, diffusion, dt_sub,
+                      update.data(), sub + 1 == max_substeps, v,
+                      ws.rot.data(), ws.bad.data());
     }
-    // Divergence sweep once per output time node instead of per substep: a
-    // non-finite value can never become finite again (inf/NaN propagate
-    // through the affine update and the select keeps a masked lane's bits),
-    // so a lane that diverged at any substep of this node is still caught
-    // here, with the same time-node error the scalar solver reports, before
-    // anything is scattered. One contiguous pass; the accumulator only
-    // latches non-zero for a lane with a non-finite node.
-    std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-    numerics::AccumulateNonFiniteLanesInto(ws.v, ws.bad);
+    // The last substep's pass accumulated each lane's finiteness into bad.
     for (std::size_t l = 0; l < m; ++l) {
       if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
       MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
@@ -514,27 +572,29 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       alive[l] = 0;
     }
 
-    numerics::GradientBatchInto(inv_dx_span, inv_2dx_span, ws.v, ws.dv);
-    ComputePolicyBatch(nq, m, ws.dv.data(), avd, w4, i2w5, k1, k2,
-                       ws.x_star.data());
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      HjbSolution& solution = *lanes[l].solution;
-      const auto value_row = solution.value[n];
-      const auto policy_row = solution.policy[n];
-      for (std::size_t i = 0; i < nq; ++i) {
-        value_row[i] = ws.v.at(i, l);
-        policy_row[i] = ws.x_star.at(i, l);
-      }
-    }
+    PolicyFromValue(nq, m, v, avd, w4, i2w5, k1, k2, i_dx, i_2dx,
+                    policy + n * slab);
   }
 
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kHjbSweep, 0, params_[l].content_id, 0,
                      static_cast<double>(substeps_[l]),
-                     obs::FlightMaxAbs(std::span<const double>(
-                         lanes[l].solution->value[0])));
+                     obs::FlightMaxAbs(value + l, nq, m));
+  }
+}
+
+void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
+  Sweep(lanes, ws);
+  const std::size_t nodes = ws.value.nodes();
+  for (std::size_t l = 0; l < num_lanes_; ++l) {
+    LaneIo& lane = lanes[l];
+    if (!lane.active || !lane.status.ok()) continue;
+    HjbSolution& solution = *lane.solution;
+    lane.status = BeginHjbSolve(params_[l], grids_[l],
+                                lane.mean_field->size(), solution);
+    ws.value.CopyLaneTo(l, 0, {solution.value.data(), nodes});
+    ws.policy.CopyLaneTo(l, 0, {solution.policy.data(), nodes});
   }
 }
 

@@ -17,18 +17,27 @@
 // [node][lane] state, so the per-node inner loops are unit-stride across
 // lanes and vectorize.
 //
+// Sweep() is the batch core: it leaves V and x* of every time node in the
+// workspace, in the [time·node][lane] layout (numerics/batch_field.h), for
+// BatchBestResponseLearner to relax in place. Each time node's value slab
+// starts as a copy of node n+1's and is stepped in place; its policy slab
+// is one fused gradient + Theorem-1 pass over it. SolveInto() is the
+// per-content adapter: Sweep, then each lane scattered into its
+// HjbSolution.
+//
 // Bit-identity contract: lane l executes the exact scalar expression tree
 // of HjbSolver1D::SolveInto on lane-l data — same operations, same order,
 // no cross-lane arithmetic — so an active lane's HjbSolution is bitwise
 // equal to the scalar solver's (guarded by batch_equivalence_test and the
 // epoch goldens). Outside the lane loops the batch calls the scalar code
-// itself — BeginHjbSolve, FillHjbTables, MfgParams::CflSubstepsFor and
-// DriftTermsAt, econ::Logistic — so those steps match by construction.
-// Two scalar-side identities make the batch layout cheap:
+// itself — CheckHjbInputs, FillHjbTables, MfgParams::CflSubstepsFor,
+// DriftTermsAt and RequestsAt, econ::Logistic — so those steps match by
+// construction. Two scalar-side identities make the batch layout cheap:
 //
 //  * The case probabilities are separable, p1 = f(αQ − q_i),
 //    p2/p3 = f(q_i − αQ)·f(±(peer_n − αQ)). The q-only factors are
-//    time-invariant and tabulated per (node, lane) at BindLane; the
+//    time-invariant and tabulated per (node, lane) at BindLane, like every
+//    params-only term of a time node (drift offset, request count); the
 //    peer-only factors are two logistics per (time node, lane). The fold
 //    loop that dominated the scalar profile then carries no exp() at all,
 //    and reusing an identical subexpression cannot change its bits.
@@ -46,36 +55,30 @@ namespace mfg::core {
 
 class HjbBatchSolver {
  public:
-  // SoA scratch sized (nq x lanes); Assign() reuse keeps repeated solves
-  // allocation-free (allocs_per_epoch=0).
+  // Assign()/Reshape() reuse keeps repeated solves allocation-free
+  // (allocs_per_epoch=0).
   struct Workspace {
-    // The substep loop is a single fused pass (see FusedHjbSubstep in the
-    // .cc): gradient, control, drift, upwind and second derivative live in
-    // registers, so only the value surface itself, the per-node folds and
-    // the policy scratch need workspace storage. dv/x_star back the
-    // terminal-condition and per-node policy scatter.
-    numerics::BatchField v;
-    numerics::BatchField dv;
-    numerics::BatchField x_star;
+    // Sweep's output: V(t_n, q_i) and x*(t_n, q_i) at row n·nq + i,
+    // (nt + 1)·nq rows. Columns of lanes that were inactive or failed hold
+    // unspecified values.
+    numerics::BatchField value;
+    numerics::BatchField policy;
     // Per-(node, lane) fold of every control-independent utility term
     // (trading income, sharing benefit, η₂·request-service delay, sharing
     // cost), recomputed once per time node — the substep loop streams this
     // one table (see HjbSolver1D::Workspace::base).
     numerics::BatchField base;
     // Per-lane per-time-node folds (length lanes). The sharing toggle is
-    // pre-folded into three factors so the node loop carries no branch:
-    // p2 = fq·p2_factor, p3 = fq·fpeer_gt + fq·p2_extra, and the sharing
-    // cost multiplies gated_share_price. Each gated factor is 0.0 on the
-    // disabled side, and every gated multiplicand is finite and
+    // pre-folded into two factors so the node loop carries no branch:
+    // p2 = fq·p2_factor, p3 = fq·fpeer_gt + fq·p2_extra (see the bind-time
+    // gated_share_price_ for the sharing cost). Each gated factor is 0.0
+    // on the disabled side, and every gated multiplicand is finite and
     // non-negative, so the products reproduce the scalar branches' bits.
     std::vector<double> p2_factor;    // sharing ? f(αQ − peer_n) : 0.
     std::vector<double> fpeer_gt;     // f(peer_n − αQ).
     std::vector<double> p2_extra;     // sharing ? 0 : f(αQ − peer_n).
-    std::vector<double> gated_share_price;  // sharing ? sharing_price : 0.
-    std::vector<double> cs_rd;        // Q_k·(retention_n − discard_n).
     std::vector<double> share_n;
     std::vector<double> served_peer;
-    std::vector<double> num_requests;
     std::vector<double> price;
     std::vector<double> peer;
     std::vector<std::uint8_t> alive;  // Lane still advancing.
@@ -86,13 +89,14 @@ class HjbBatchSolver {
     std::vector<double> bad;
     // Rotation scratch for the runtime-lane-count fused substep (three old
     // value rows plus the carried d²v row, 4·lanes doubles); the
-    // compile-time lane specializations keep these in registers instead.
+    // compile-time lane specializations keep these in local arrays.
     std::vector<double> rot;
   };
 
-  // Per-lane solve IO. Inactive lanes are skipped entirely (their solution
-  // pointer may be null); an active lane's status reports the same error
-  // the scalar solver would have returned.
+  // Per-lane solve IO. Inactive lanes are skipped entirely; an active
+  // lane's status reports the same error the scalar solver would have
+  // returned. Sweep() reads only mean_field (solution may be null);
+  // SolveInto() also writes *solution.
   struct LaneIo {
     const std::vector<MeanFieldQuantities>* mean_field = nullptr;
     HjbSolution* solution = nullptr;
@@ -114,9 +118,12 @@ class HjbBatchSolver {
 
   std::size_t num_lanes() const { return num_lanes_; }
 
-  // Runs the backward sweep for every active lane. lanes.size() must equal
-  // num_lanes(). Statuses are written per lane; the call itself cannot
-  // fail globally.
+  // The batch core: runs the backward sweep for every active lane into
+  // ws.value / ws.policy. lanes.size() must equal num_lanes(). Statuses
+  // are written per lane; the call itself cannot fail globally.
+  void Sweep(std::span<LaneIo> lanes, Workspace& ws) const;
+
+  // Sweep, then each active lane that succeeded written to *solution.
   void SolveInto(std::span<LaneIo> lanes, Workspace& ws) const;
 
  private:
@@ -140,6 +147,12 @@ class HjbBatchSolver {
   numerics::BatchField q_pos_;       // max(q_i, 0).
   numerics::BatchField cs_nw_;       // Q_k·(−w1)·a(q_i): drift x-gain.
 
+  // Per-(time node, lane) params-only terms, nt rows: Q_k·(retention_n −
+  // discard_n) from MfgParams::DriftTermsAt (a pow() per node) and
+  // RequestsAt(n).
+  numerics::BatchField cs_rd_;
+  numerics::BatchField num_requests_;
+
   // Per-lane constants; the HjbTables scalars and the FD reciprocals
   // (1/dx, 1/(2dx), 1/dx² — the scalar kernels' per-call hoists).
   std::vector<double> opt_k1_;
@@ -148,7 +161,7 @@ class HjbBatchSolver {
   std::vector<double> eta2_;
   std::vector<double> w4_;
   std::vector<double> w5_;
-  std::vector<double> sharing_price_;
+  std::vector<double> gated_share_price_;  // sharing ? sharing_price : 0.
   std::vector<double> threshold_;   // αQ.
   std::vector<double> sharpness_;   // Logistic steepness.
   std::vector<double> dt_sub_;

@@ -32,10 +32,8 @@ void FillHjbTables(const MfgParams& params, const numerics::Grid1D& q_grid,
   out.inv_ond = 1.0 / staleness.cloud_ondemand_rate;
 }
 
-common::Status BeginHjbSolve(const MfgParams& params,
-                             const numerics::Grid1D& q_grid,
-                             std::size_t mean_field_size,
-                             HjbSolution& solution) {
+common::Status CheckHjbInputs(const MfgParams& params,
+                              std::size_t mean_field_size) {
   const std::size_t nt = params.grid.num_time_steps;
   if (mean_field_size != nt + 1) {
     return common::Status::InvalidArgument(
@@ -55,6 +53,15 @@ common::Status BeginHjbSolve(const MfgParams& params,
   if (staleness.eta2 < 0.0) {
     return common::Status::InvalidArgument("eta2 must be non-negative");
   }
+  return common::Status::Ok();
+}
+
+common::Status BeginHjbSolve(const MfgParams& params,
+                             const numerics::Grid1D& q_grid,
+                             std::size_t mean_field_size,
+                             HjbSolution& solution) {
+  MFG_RETURN_IF_ERROR(CheckHjbInputs(params, mean_field_size));
+  const std::size_t nt = params.grid.num_time_steps;
   solution.q_grid = q_grid;
   solution.dt = params.TimeStep();
   solution.value.Assign(nt + 1, q_grid.size(), 0.0);

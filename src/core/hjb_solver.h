@@ -71,10 +71,13 @@ struct HjbTables {
 void FillHjbTables(const MfgParams& params, const numerics::Grid1D& q_grid,
                    HjbTables& out);
 
-// The per-solve preamble both HJB solvers run for one content: checks the
+// The per-solve checks both HJB solvers run for one content: the
 // mean-field arity and the econ kernels' preconditions (ServiceDelay /
-// StalenessCost), validated once so the node loops run without StatusOr,
-// then shapes `solution` for the sweep.
+// StalenessCost), validated once so the node loops run without StatusOr.
+common::Status CheckHjbInputs(const MfgParams& params,
+                              std::size_t mean_field_size);
+
+// CheckHjbInputs, then shapes `solution` for the sweep.
 common::Status BeginHjbSolve(const MfgParams& params,
                              const numerics::Grid1D& q_grid,
                              std::size_t mean_field_size,

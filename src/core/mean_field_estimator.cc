@@ -90,8 +90,8 @@ __attribute__((always_inline)) inline void AddCell(
 // of additions. q·λ at node i is computed once and carried to the next
 // cell.
 //
-// M is the compile-time lane count (1, 2, 4 or 8; 0 = runtime `mm`),
-// dispatched like hjb_batch.cc's FusedHjbSubstep: with M fixed the
+// M is the compile-time lane count (0 = runtime `mm`), dispatched like
+// hjb_batch.cc's FusedHjbSubstep: with M fixed the
 // accumulators and the carried node live in registers; the runtime path
 // keeps them in `sums`. The lane loops stay rolled for the loop
 // vectorizer (see fpk_batch.cc).
@@ -163,28 +163,10 @@ void QuadratureSweep(std::size_t nq, std::size_t m, const double* lam,
                      const double* pol, const double* q,
                      const double* sharer_cell, const double* needer_cell,
                      const double* dx, double* __restrict sums) {
-  switch (m) {
-    case 1:
-      QuadratureSweepImpl<1>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx,
-                             sums);
-      break;
-    case 2:
-      QuadratureSweepImpl<2>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx,
-                             sums);
-      break;
-    case 4:
-      QuadratureSweepImpl<4>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx,
-                             sums);
-      break;
-    case 8:
-      QuadratureSweepImpl<8>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx,
-                             sums);
-      break;
-    default:
-      QuadratureSweepImpl<0>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx,
-                             sums);
-      break;
-  }
+#define MFGCP_QUADRATURE_SWEEP(M) \
+  QuadratureSweepImpl<M>(nq, m, lam, pol, q, sharer_cell, needer_cell, dx, sums)
+  MFGCP_DISPATCH_LANE_WIDTH(m, MFGCP_QUADRATURE_SWEEP)
+#undef MFGCP_QUADRATURE_SWEEP
 }
 
 double FullCellMask(const numerics::IntervalBounds& bounds, std::size_t i) {
@@ -289,22 +271,20 @@ common::Status MeanFieldBatchEstimator::BindLane(
 }
 
 void MeanFieldBatchEstimator::EstimateInto(std::span<const double> density,
+                                           std::span<const double> policy,
                                            std::span<const LaneIo> lanes,
                                            Workspace& ws) const {
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
-  if (ws.policy.nodes() != nq || ws.policy.lanes() != m) {
-    ws.policy.Assign(nq, m, 0.0);
-  }
   ws.sums.resize(kSumRows * m);
   const double* lam = density.data();
+  const double* pol = policy.data();
   const double* q = node_q_.data();
-  double* pol = ws.policy.data();
   double* sums = ws.sums.data();
 
-  // Per active lane: its policy row into the SoA scratch, and the heads
-  // of its three interval sums (the partial cell at each interval's left
-  // end, which the sweep extends cell by cell).
+  // Per active lane: the heads of its three interval sums (the partial
+  // cell at each interval's left end, which the sweep extends cell by
+  // cell).
   [[maybe_unused]] std::size_t active = 0;
   for (std::size_t l = 0; l < m; ++l) {
     sums[kSharerMoment * m + l] = 0.0;
@@ -312,8 +292,6 @@ void MeanFieldBatchEstimator::EstimateInto(std::span<const double> density,
     sums[kSharerMass * m + l] = 0.0;
     if (!lanes[l].active) continue;
     ++active;
-    const std::span<const double> policy = lanes[l].policy;
-    for (std::size_t i = 0; i < nq; ++i) pol[i * m + l] = policy[i];
     const MeanFieldEstimator::Table& table = tables_[l];
     const auto lam_at = [lam, m, l](std::size_t i) { return lam[i * m + l]; };
     const auto w_at = [lam, q, m, l](std::size_t i) {

@@ -97,7 +97,9 @@ class MeanFieldEstimator {
 // Lane-parallel MeanFieldEstimator::EstimateInto: one call estimates K
 // contents (the lanes) at one time node, reading the density rows in the
 // [node][lane] layout the batched FPK keeps per time node
-// (FpkBatchSolver::DensityRows), so nothing is gathered per lane. All five
+// (FpkBatchSolver::DensityRows) and the policy rows in the same layout
+// (the batched learner's relaxed iterate), so nothing is gathered per
+// lane. All five
 // quadratures of every lane run in a single pass over the nodes; the
 // partial sums over the α·Q_k split are masked per lane by the cells of
 // the lane's own bounds. Lane l performs the scalar estimator's operations
@@ -107,12 +109,10 @@ class MeanFieldEstimator {
 class MeanFieldBatchEstimator {
  public:
   struct Workspace {
-    numerics::BatchField policy;  // Active lanes' policy rows, [node][lane].
-    std::vector<double> sums;     // Per-lane quadrature accumulators.
+    std::vector<double> sums;  // Per-lane quadrature accumulators.
   };
 
   struct LaneIo {
-    std::span<const double> policy;  // x(t, ·) on the lane's q-grid.
     MeanFieldQuantities* out = nullptr;
     bool active = false;
   };
@@ -127,11 +127,13 @@ class MeanFieldBatchEstimator {
 
   std::size_t num_lanes() const { return num_lanes_; }
 
-  // `density` holds nq × num_lanes() samples, [node][lane]. Writes
-  // *lanes[l].out for every active lane (which must be bound) and counts
-  // one estimate per active lane. Inactive lanes' density columns may hold
-  // anything; they never reach an output.
+  // `density` and `policy` (x(t, ·) on each lane's q-grid) hold nq ×
+  // num_lanes() samples, [node][lane]. Writes *lanes[l].out for every
+  // active lane (which must be bound) and counts one estimate per active
+  // lane. Inactive lanes' columns may hold anything; they never reach an
+  // output.
   void EstimateInto(std::span<const double> density,
+                    std::span<const double> policy,
                     std::span<const LaneIo> lanes, Workspace& ws) const;
 
  private:

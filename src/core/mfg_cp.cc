@@ -81,6 +81,17 @@ void RelaxLearning(std::size_t attempt, LearningParams& learning) {
   learning.max_iterations += kExtraIterations * attempt;
 }
 
+// Reserves `eq`'s convergence trace for the longest one the slot's ladder
+// can record — the last relaxed retry's iteration budget — so a retry
+// never grows it (allocs_per_epoch = 0 on epochs that retry).
+void ReserveLadderTrace(const EpochSolveJob& job, Equilibrium& eq) {
+  const std::size_t budget =
+      job.framework->options().base_params.learning.max_iterations +
+      kExtraIterations * kLadderRetries;
+  eq.policy_change_history.reserve(budget);
+  eq.value_change_history.reserve(budget);
+}
+
 // Ladder-visible outcomes that did not come from a solve of this epoch:
 // the slot shipped an old, static or no plan.
 bool IsDegraded(SlotOutcome outcome) {
@@ -101,7 +112,11 @@ common::Status BuildAttemptParams(const EpochSolveJob& job,
       k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
       static_cast<double>(job.obs->request_counts[k]));
   if (!params.ok()) return params.status();
-  if (attempt > 0) RelaxLearning(attempt, params->learning);
+  if (attempt > 0) {
+    RelaxLearning(attempt, params->learning);
+  } else {
+    ReserveLadderTrace(job, result.equilibrium);
+  }
   result.params = std::move(*params);
   MFG_FLIGHT_EVENT(
       kAttemptBegin, 0, k,
@@ -137,6 +152,7 @@ common::Status AttemptSlotSolve(const EpochSolveJob& job,
 void SaveLastGood(const EpochSolveJob& job, content::ContentId k,
                   const EpochContentResult& result) {
   EpochPlanBuffer::LastGood& carry = job.buffer->last_good[k];
+  ReserveLadderTrace(job, carry.equilibrium);
   carry.params = result.params;
   carry.equilibrium = result.equilibrium;
   carry.valid = true;

@@ -17,6 +17,11 @@
 // lanes. Lanes never exchange data inside a kernel, which is what keeps
 // every lane bit-identical to the scalar solver it replaces.
 //
+// A field of T time nodes keeps them as consecutive slabs of nq nodes
+// ([time·node][lane]: row n·nq + i is q node i of time node n), so one
+// lane's whole trajectory is its column. With one lane the layout is
+// row-major, the TimeField2D layout of the scalar solvers.
+//
 // Like TimeField2D, Assign() reuses capacity so a warmed workspace stays
 // allocation-free across epochs (the allocs_per_epoch=0 contract).
 
@@ -31,6 +36,15 @@ class BatchField {
     nodes_ = nodes;
     lanes_ = lanes;
     data_.assign(nodes * lanes, fill);
+  }
+
+  // Resizes to nodes x lanes without a fill: the contents are unspecified
+  // (unchanged when the shape is). For fields every caller overwrites
+  // before reading. Reuses capacity.
+  void Reshape(std::size_t nodes, std::size_t lanes) {
+    nodes_ = nodes;
+    lanes_ = lanes;
+    data_.resize(nodes * lanes);
   }
 
   std::size_t nodes() const { return nodes_; }
@@ -50,6 +64,20 @@ class BatchField {
   }
   double at(std::size_t node, std::size_t lane) const {
     return data_[node * lanes_ + lane];
+  }
+
+  // Lane `lane` of the out.size() nodes from node `first` on, copied into
+  // the contiguous `out` (the per-lane scatter at the batch's edges), and
+  // the reverse.
+  void CopyLaneTo(std::size_t lane, std::size_t first,
+                  std::span<double> out) const {
+    const double* src = data_.data() + first * lanes_ + lane;
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = src[i * lanes_];
+  }
+  void CopyLaneFrom(std::size_t lane, std::size_t first,
+                    std::span<const double> in) {
+    double* dst = data_.data() + first * lanes_ + lane;
+    for (std::size_t i = 0; i < in.size(); ++i) dst[i * lanes_] = in[i];
   }
 
   // Flat [node * lanes + lane] storage for kernel inner loops.

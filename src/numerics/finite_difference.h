@@ -48,9 +48,10 @@ void SecondDerivativeInto(double dx, std::span<const double> f,
 // the scalar expression tree (same operations, same order, no cross-lane
 // arithmetic). The innermost loops are unit-stride across lanes and
 // auto-vectorize, with runtime AVX2/AVX-512 clones where the build carries
-// them (numerics/simd_support.h). The batched HJB substep computes its
-// upwind and second-derivative stencils inline (FusedHjbSubstep in
-// core/hjb_batch.cc), so only the gradient has a batch kernel.
+// them (numerics/simd_support.h). The batched HJB computes all its
+// stencils inline (FusedHjbSubstep and PolicyFromValue in
+// core/hjb_batch.cc), so no solver calls this kernel any more; it stays
+// as the tested lane-parallel form of GradientInto.
 //
 // Instead of the spacing itself the kernel takes *precomputed
 // reciprocals*, mirroring the scalar kernels' once-per-call hoist
@@ -69,14 +70,6 @@ void GradientBatchInto(std::span<const double> inv_dx,
                        std::span<const double> inv_2dx, const BatchField& f,
                        BatchField& out);
 
-// Lane-wise finiteness sweep: accumulates v - v into bad[l] for every value
-// of the lane's column, so an entry pre-filled with 0.0 is still exactly
-// 0.0 afterwards iff the lane is all-finite (a NaN or infinity anywhere
-// turns it into NaN, which compares unequal to 0.0). One contiguous
-// branch-free pass over the field, replacing per-lane strided
-// std::isfinite walks in the solvers' substep loops.
-// bad.size() >= f.lanes().
-void AccumulateNonFiniteLanesInto(const BatchField& f, std::span<double> bad);
 
 // First derivative by central differences in the interior, one-sided at the
 // boundaries.

@@ -28,6 +28,34 @@
 #define MFGCP_BATCH_TARGET_CLONES
 #endif
 
+// The lane-width dispatch every batched kernel shares: expands BODY(M)
+// with M the compile-time lane count for the batch widths the kernels
+// specialize (1, 2, 4, 8 and 16), and M = 0 (the runtime-width path)
+// otherwise. Each kernel's body must be an always_inline template called
+// from an MFGCP_BATCH_TARGET_CLONES dispatcher, so every ISA clone gets
+// its own vectorized copy of each width.
+#define MFGCP_DISPATCH_LANE_WIDTH(m, BODY) \
+  switch (m) {                             \
+    case 1:                                \
+      BODY(1);                             \
+      break;                               \
+    case 2:                                \
+      BODY(2);                             \
+      break;                               \
+    case 4:                                \
+      BODY(4);                             \
+      break;                               \
+    case 8:                                \
+      BODY(8);                             \
+      break;                               \
+    case 16:                               \
+      BODY(16);                            \
+      break;                               \
+    default:                               \
+      BODY(0);                             \
+      break;                               \
+  }
+
 namespace mfg::numerics {
 
 // Bit-exact masked-lane select: returns `a`'s bits when mask is nonzero

@@ -104,10 +104,18 @@ struct FlightEvent {
 // Sup-norm helper for sweep-event payloads. Lives here (not math_util) so
 // event argument expressions stay next to the macro that gates their
 // evaluation behind FlightJournal::Enabled().
-inline double FlightMaxAbs(std::span<const double> values) {
+// The strided overload reads `count` values `stride` apart: one lane's
+// column of a batched solver's [node][lane] field.
+inline double FlightMaxAbs(const double* first, std::size_t count,
+                           std::size_t stride) {
   double max_abs = 0.0;
-  for (double v : values) max_abs = std::max(max_abs, std::fabs(v));
+  for (std::size_t i = 0; i < count; ++i) {
+    max_abs = std::max(max_abs, std::fabs(first[i * stride]));
+  }
   return max_abs;
+}
+inline double FlightMaxAbs(std::span<const double> values) {
+  return FlightMaxAbs(values.data(), values.size(), 1);
 }
 
 class FlightJournal {

@@ -21,10 +21,12 @@
 #include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/best_response.h"
 #include "core/best_response_batch.h"
+#include "core/fault_injection.h"
 #include "core/fpk_batch.h"
 #include "core/fpk_solver.h"
 #include "core/hjb_batch.h"
@@ -32,6 +34,7 @@
 #include "core/mean_field_estimator.h"
 #include "core/mfg_cp.h"
 #include "epoch_test_util.h"
+#include "obs/alloc_probe.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -225,6 +228,155 @@ TEST_P(BatchSolverTest, BestResponseBatchMatchesScalarBitwise) {
   }
 }
 
+// The lanes of BestResponseBatchMatchesScalarBitwise: max_iterations
+// 3 + 2l, so lanes leave the loop at different rounds, converged or
+// exhausted.
+MfgParams ExitLaneParams(std::size_t lane) {
+  MfgParams params = LaneParams(lane);
+  params.learning.max_iterations = 3 + 2 * lane;
+  return params;
+}
+
+void BindExitLanes(std::size_t lanes, BatchBestResponseLearner& batch,
+                   std::vector<Equilibrium>& equilibria,
+                   std::vector<BatchBestResponseLearner::LaneJob>& jobs) {
+  batch.Reset(lanes);
+  equilibria.resize(lanes);
+  jobs.resize(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ASSERT_TRUE(batch.BindLane(l, ExitLaneParams(l)).ok()) << "lane " << l;
+    jobs[l].content = l;
+    jobs[l].active = true;
+    jobs[l].out = &equilibria[l];
+  }
+}
+
+Equilibrium ScalarEquilibrium(const MfgParams& params) {
+  auto scalar = BestResponseLearner::Create(params).value();
+  BestResponseLearner::Workspace sws;
+  Equilibrium expected;
+  EXPECT_TRUE(scalar.SolveInto(sws, expected).ok());
+  return expected;
+}
+
+// A lane that fails mid-loop leaves it alone: its neighbors, which go on
+// to converge or exhaust their iterations, stay bitwise the scalar
+// learner's. The seam keys faults by (site, epoch, content, attempt), so
+// the injected kHjbStep fault fires at the lane's first HJB poll (round
+// 1), after its setup and initial FPK sweep; the lane is written out with
+// the loop's state at that point.
+TEST_P(BatchSolverTest, FailedLaneLeavesNeighborsBitwiseScalar) {
+  const std::size_t lanes = GetParam();
+  const std::size_t failing = lanes / 2;
+  faults::FaultPlan plan;
+  faults::FaultSpec spec;
+  spec.site = faults::FaultSite::kHjbStep;
+  spec.content = failing;
+  plan.Add(spec);
+
+  BatchBestResponseLearner batch;
+  std::vector<Equilibrium> equilibria;
+  std::vector<BatchBestResponseLearner::LaneJob> jobs;
+  BindExitLanes(lanes, batch, equilibria, jobs);
+  BatchBestResponseLearner::Workspace ws;
+  {
+    faults::ScopedFaultInjection arm(plan);
+    batch.SolveInto(jobs, ws);
+  }
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    const MfgParams params = ExitLaneParams(l);
+    if (l != failing) {
+      ASSERT_TRUE(jobs[l].status.ok());
+      ExpectEquilibriumIdentical(equilibria[l], ScalarEquilibrium(params));
+      continue;
+    }
+    EXPECT_EQ(jobs[l].status.code(), common::StatusCode::kNumericalError);
+    const Equilibrium& eq = equilibria[l];
+    EXPECT_EQ(eq.iterations, 1u);
+    EXPECT_FALSE(eq.converged);
+    EXPECT_TRUE(eq.policy_change_history.empty());
+    // The initial iterate, V⁰ = 0 and λ under the initial iterate.
+    const std::size_t nt = params.grid.num_time_steps;
+    const std::size_t nq = params.grid.num_q_nodes;
+    EXPECT_TRUE(eq.hjb.policy == numerics::TimeField2D(nt + 1, nq, 0.5));
+    EXPECT_TRUE(eq.hjb.value == numerics::TimeField2D(nt + 1, nq, 0.0));
+    auto fpk = FpkSolver1D::Create(params).value();
+    const FpkSolution expected =
+        fpk.Solve(fpk.MakeInitialDensity().value(), eq.hjb.policy).value();
+    ASSERT_EQ(eq.fpk.densities.size(), expected.densities.size());
+    for (std::size_t n = 0; n < expected.densities.size(); ++n) {
+      EXPECT_EQ(eq.fpk.densities[n].values(), expected.densities[n].values())
+          << "time node " << n;
+    }
+  }
+}
+
+// A lane inactive in a later solve on the same workspace keeps its
+// Equilibrium from the earlier one bit for bit, while its neighbors,
+// rebound to new params, match fresh scalar solves.
+TEST_P(BatchSolverTest, InactiveLaneEquilibriumIsUntouched) {
+  const std::size_t lanes = GetParam();
+  const std::size_t idle = lanes - 1;
+  BatchBestResponseLearner batch;
+  std::vector<Equilibrium> equilibria;
+  std::vector<BatchBestResponseLearner::LaneJob> jobs;
+  BindExitLanes(lanes, batch, equilibria, jobs);
+  BatchBestResponseLearner::Workspace ws;
+  batch.SolveInto(jobs, ws);
+  ASSERT_TRUE(jobs[idle].status.ok());
+  const Equilibrium kept = equilibria[idle];
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (l == idle) continue;
+    ASSERT_TRUE(batch.BindLane(l, ExitLaneParams(l + 1)).ok());
+    jobs[l].content = l + 1;
+  }
+  jobs[idle].active = false;
+  jobs[idle].status = common::Status::Internal("left as set");
+  batch.SolveInto(jobs, ws);
+
+  EXPECT_EQ(jobs[idle].status.code(), common::StatusCode::kInternal);
+  ExpectEquilibriumIdentical(equilibria[idle], kept);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (l == idle) continue;
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    ASSERT_TRUE(jobs[l].status.ok());
+    ExpectEquilibriumIdentical(equilibria[l],
+                               ScalarEquilibrium(ExitLaneParams(l + 1)));
+  }
+}
+
+// True when this binary's operator-new overrides are live (sanitizer
+// builds interpose their own allocator ahead of them).
+bool AllocationProbeActive() {
+  const std::size_t before = obs::AllocationCount();
+  void* p = ::operator new(32);
+  const bool active = obs::AllocationCount() != before;
+  ::operator delete(p);
+  return active;
+}
+
+TEST_P(BatchSolverTest, WarmedBestResponseBatchAllocatesNothing) {
+  if (!AllocationProbeActive()) {
+    GTEST_SKIP() << "allocation hooks inactive (sanitizer allocator?)";
+  }
+  const std::size_t lanes = GetParam();
+  BatchBestResponseLearner batch;
+  std::vector<Equilibrium> equilibria;
+  std::vector<BatchBestResponseLearner::LaneJob> jobs;
+  BindExitLanes(lanes, batch, equilibria, jobs);
+  BatchBestResponseLearner::Workspace ws;
+  batch.SolveInto(jobs, ws);  // Warms the workspace and the outputs.
+  const std::size_t before = obs::AllocationCount();
+  batch.SolveInto(jobs, ws);
+  EXPECT_EQ(obs::AllocationCount() - before, 0u);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    EXPECT_TRUE(jobs[l].status.ok()) << "lane " << l;
+  }
+}
+
 // Estimator lanes: besides content size (dx and the grid's upper end),
 // where α·Q_k falls on the lane's grid, the sharing switch, and a density
 // with almost no sharer mass. Validate() keeps α < 1, so α·Q_k never
@@ -315,21 +467,22 @@ TEST_P(BatchSolverTest, EstimateBatchMatchesScalarBitwise) {
   }
   const std::size_t nq = densities[0].values().size();
   std::vector<double> rows(nq * lanes);
+  std::vector<double> policy_rows(nq * lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     for (std::size_t i = 0; i < nq; ++i) {
       rows[i * lanes + l] = densities[l].values()[i];
+      policy_rows[i * lanes + l] = policies[l][i];
     }
   }
 
   std::vector<MeanFieldQuantities> out(lanes);
   std::vector<MeanFieldBatchEstimator::LaneIo> io(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    io[l].policy = policies[l];
     io[l].out = &out[l];
     io[l].active = true;
   }
   MeanFieldBatchEstimator::Workspace ws;
-  batch.EstimateInto(rows, io, ws);
+  batch.EstimateInto(rows, policy_rows, io, ws);
 
   std::vector<MeanFieldQuantities> expected(lanes);
   MeanFieldEstimator::Workspace sws;
@@ -350,10 +503,11 @@ TEST_P(BatchSolverTest, EstimateBatchMatchesScalarBitwise) {
   if (lanes < 2) return;
   for (std::size_t i = 0; i < nq; ++i) {
     rows[i * lanes] = std::numeric_limits<double>::quiet_NaN();
+    policy_rows[i * lanes] = std::numeric_limits<double>::quiet_NaN();
   }
   io[0].active = false;
   out.assign(lanes, MeanFieldQuantities{});
-  batch.EstimateInto(rows, io, ws);
+  batch.EstimateInto(rows, policy_rows, io, ws);
   EXPECT_EQ(out[0].price, 0.0);
   for (std::size_t l = 1; l < lanes; ++l) {
     SCOPED_TRACE(::testing::Message() << "lane " << l);
@@ -364,7 +518,9 @@ TEST_P(BatchSolverTest, EstimateBatchMatchesScalarBitwise) {
 INSTANTIATE_TEST_SUITE_P(Widths, BatchSolverTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16),
                          [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // Rebinding the same lanes to new params (the next epoch) must behave

@@ -95,6 +95,57 @@ TEST(EpochAllocTest, CleanEpochAfterAFaultEpochIsAllocationFree) {
       << "clean epoch after a fault epoch allocated";
 }
 
+TEST(EpochAllocTest, WarmedEpochWithForcedRetriesIsAllocationFree) {
+  // Every epoch forces content 2 unconverged at attempt 0 through the
+  // fault seam, so each one runs the ladder's relaxed retry (a longer
+  // iteration budget, its convergence trace and its WARN lines). Once
+  // warmed, such an epoch must not allocate either. The ladder retries on
+  // the claiming worker's scalar learner, which its first retry warms, so
+  // the round-robin first epoch forces every content: each worker then
+  // retries once before the measured epoch.
+  constexpr std::size_t kContents = 8;
+  constexpr std::size_t kForced = 2;
+  constexpr std::size_t kEpochs = 4;
+  auto framework = MakeFramework(kContents, 4);
+  const EpochObservation obs = MakeObservation(kContents);
+  faults::FaultPlan plan;
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    for (std::size_t k = 0; k < kContents; ++k) {
+      if (epoch > 0 && k != kForced) continue;
+      faults::FaultSpec spec;
+      spec.site = faults::FaultSite::kNonConvergence;
+      spec.epoch = epoch;
+      spec.content = k;
+      spec.fail_attempts = 1;  // Attempt 0 only: the first retry converges.
+      plan.Add(spec);
+    }
+  }
+  faults::ScopedFaultInjection arm(plan);
+
+  EpochPlanBuffer buffer;
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+    EXPECT_EQ(buffer.outcomes[slot], SlotOutcome::kRetried) << "slot " << slot;
+  }
+  const auto expect_forced_retry = [&] {
+    for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+      const bool forced = buffer.results[slot].content == kForced;
+      EXPECT_EQ(buffer.outcomes[slot],
+                forced ? SlotOutcome::kRetried : SlotOutcome::kSolved)
+          << "content " << buffer.results[slot].content;
+    }
+  };
+  for (std::size_t epoch = 1; epoch + 1 < kEpochs; ++epoch) {
+    ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+    expect_forced_retry();
+  }
+  const std::size_t before = obs::AllocationCount();
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  EXPECT_EQ(obs::AllocationCount() - before, 0u)
+      << "warmed epoch with a forced retry allocated";
+  expect_forced_retry();
+}
+
 TEST(EpochAllocTest, ProbeCountsThisThread) {
   const std::size_t global_before = obs::AllocationCount();
   const std::size_t thread_before = obs::ThreadAllocationCount();

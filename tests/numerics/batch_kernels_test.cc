@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "numerics/batch_field.h"
@@ -148,7 +149,9 @@ TEST_P(BatchKernelsTest, ClipAndNormalizeMatchesScalarPerLane) {
 INSTANTIATE_TEST_SUITE_P(Widths, BatchKernelsTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16),
                          [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(BatchFieldTest, AssignReusesCapacity) {

@@ -65,7 +65,9 @@ TEST_F(FlightRecorderTest, RingWraparoundKeepsTheLastEvents) {
   ASSERT_EQ(events.size(), 8u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].iter, 12u + i);  // The last 8 of 0..19, in order.
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
   }
 }
 

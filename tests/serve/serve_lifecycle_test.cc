@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "serve/serve_loop.h"
@@ -49,24 +51,52 @@ TEST(ServeLoopLifecycleTest, StopThenRunRespawnsThePlanner) {
 TEST(ServeLoopLifecycleTest, StopDuringInFlightPlanDrainsBeforeJoining) {
   const sim::RequestStream stream = MakeStream();
   ServeOptions options = testing::SmallServeOptions();
-  // Slow planner + async deadline: Stop() lands while a round is posted
-  // or mid-plan with high probability; the drain guarantee makes the
-  // outcome safe either way.
+  // Slow planner + async deadline: the boundary posts its round and keeps
+  // serving, so the round is in flight when Stop() lands.
   options.synthetic_plan_delay_ms = 120.0;
   options.plan_deadline_ms = 1000.0;
+  // Handshake with the planner thread instead of a wall-clock guess: the
+  // first round parks in on_plan — inside the round, before the planner
+  // hands it back — until the test calls Stop(), so Stop() lands on a
+  // posted, uncollected round at any load. Later rounds pass through.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool in_flight = false;
+  bool stopping = false;
+  options.on_plan = [&](const core::EpochPlanBuffer&,
+                        const core::EpochHealthReport&) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (stopping) return;
+    in_flight = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return stopping; });
+  };
   auto loop = ServeLoop::Create(options);
   ASSERT_TRUE(loop.ok()) << loop.status();
 
   ServeStats stats;
   common::Status run_status;
   std::thread runner([&] { run_status = (*loop)->Run(stream, stats); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  (*loop)->Stop();  // Joins the planner; a posted round finishes first.
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    const bool parked = cv.wait_for(lock, std::chrono::seconds(60),
+                                    [&] { return in_flight; });
+    stopping = true;
+    cv.notify_all();
+    if (!parked) {
+      lock.unlock();
+      (*loop)->Stop();
+      runner.join();
+      FAIL() << "no plan round reached the planner";
+    }
+  }
+  (*loop)->Stop();  // Joins the planner; the parked round finishes first.
   runner.join();
   EXPECT_TRUE(run_status.ok()) << run_status;
 
   // Boundaries hit after the Stop skipped their rounds instead of
   // hanging on a dead planner.
+  EXPECT_GE(stats.plan_rounds, 1u);
   EXPECT_EQ(stats.plan_rounds + stats.skipped_plan_rounds +
                 stats.requests.replan_faults,
             stats.requests.replans);
